@@ -7,7 +7,8 @@
 // Input relations (`.decl r(...) input`) are loaded from DIR/r.facts
 // (tab-separated unsigned integers, one tuple per line); output relations
 // are written to DIR/r.csv. --stats prints Table-2-style statistics.
-// --profile prints a per-rule breakdown; --profile=FILE additionally writes
+// --profile prints a per-rule breakdown, split per compiled variant (base
+// form, or the delta variant with its lead relation); --profile=FILE writes
 // a machine-readable JSON record {runtime, stats, profile, scheduler,
 // metrics} to FILE (Soufflé-profiler style).
 // --sched=blocks|steal picks the parallel scheduler (default: steal, or
@@ -458,6 +459,15 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
                         static_cast<unsigned long long>(p.tuples),
                         p.head.c_str(), p.recursive ? " [recursive]" : "",
                         p.rule_index);
+            for (const auto& v : p.variants) {
+                const std::string form =
+                    v.delta_atom < 0 ? "base" : "delta@" + std::to_string(v.delta_atom);
+                std::printf("%8.3f s  %6llu evals  %8llu outer     %s, lead %s\n",
+                            v.seconds,
+                            static_cast<unsigned long long>(v.evaluations),
+                            static_cast<unsigned long long>(v.outer_tuples),
+                            form.c_str(), v.lead.c_str());
+            }
         }
 
         // --profile=FILE (anything but a bare boolean): also emit the

@@ -10,8 +10,9 @@
 //   2. delta := everything derived so far for the stratum's relations;
 //   3. fixpoint loop: for every recursive rule and every same-stratum
 //      positive body atom occurrence k, run the rule with occurrence k
-//      reading DELTA and the others reading FULL; freshly derived tuples
-//      (not in FULL) go to NEW;
+//      reading DELTA and the others reading FULL — each variant in its own
+//      compiled join order, delta-first where existing indexes serve it
+//      (index_selection.h); freshly derived tuples (not in FULL) go to NEW;
 //   4. merge NEW into FULL (and all its indexes), DELTA := NEW; repeat
 //      until no NEW tuples.
 //
@@ -113,8 +114,29 @@ struct EngineStats {
     }
 };
 
+/// One compiled form of a rule in the profile: the base form or one
+/// semi-naïve delta variant (index_selection.h).
+struct VariantProfile {
+    int delta_atom = -1;  ///< base body position reading DELTA; -1 = base form
+    std::string lead;     ///< relation of the atom the join starts from
+    std::uint64_t evaluations = 0;
+    std::uint64_t outer_tuples = 0; ///< lead-atom matches joined, summed
+    double seconds = 0;
+
+    void write_json(json::Writer& w) const {
+        w.begin_object();
+        w.kv("delta_atom", delta_atom);
+        w.kv("lead", lead);
+        w.kv("evaluations", evaluations);
+        w.kv("outer_tuples", outer_tuples);
+        w.kv("seconds", seconds);
+        w.end_object();
+    }
+};
+
 /// Per-rule profile (Soufflé-profiler style): where did the fixpoint spend
-/// its time? Evaluations counts every (iteration x delta-variant) run.
+/// its time? Evaluations counts every (iteration x delta-variant) run;
+/// `variants` splits the totals over the forms that ran.
 struct RuleProfile {
     std::string head;        ///< head relation name
     std::size_t rule_index;  ///< index into the program's rules
@@ -122,6 +144,7 @@ struct RuleProfile {
     std::uint64_t evaluations = 0;
     std::uint64_t tuples = 0; ///< genuinely new head tuples this rule derived
     double seconds = 0;
+    std::vector<VariantProfile> variants; ///< by delta_atom, base form first
 
     void write_json(json::Writer& w) const {
         w.begin_object();
@@ -131,6 +154,10 @@ struct RuleProfile {
         w.kv("evaluations", evaluations);
         w.kv("tuples", tuples);
         w.kv("seconds", seconds);
+        w.key("variants");
+        w.begin_array();
+        for (const VariantProfile& v : variants) v.write_json(w);
+        w.end_array();
         w.end_object();
     }
 };
@@ -157,19 +184,27 @@ public:
                 resolve_arg(c.rhs);
             }
         }
-        indexes_ = select_indexes(prog_);
+        plans_ = select_indexes(prog_);
         for (std::size_t r = 0; r < prog_.decls.size(); ++r) {
             const auto& d = prog_.decls[r];
             relations_.push_back(std::make_unique<RelationT>(
-                d.name, static_cast<unsigned>(d.arity()), indexes_.relation_indexes[r]));
-        }
-        for (std::size_t i = 0; i < prog_.program.rules.size(); ++i) {
-            compiled_.push_back(compile_rule(prog_, i));
-            if (compiled_.back().num_vars > 32) {
-                throw std::runtime_error("rule uses more than 32 variables");
-            }
+                d.name, static_cast<unsigned>(d.arity()), plans_.relation_indexes[r]));
         }
         profile_.resize(prog_.program.rules.size());
+        for (std::size_t i = 0; i < prog_.program.rules.size(); ++i) {
+            const RulePlans& rp = plans_.rules[i];
+            if (rp.base.num_vars > 32) {
+                throw std::runtime_error("rule uses more than 32 variables");
+            }
+            // One profile slot per form: slot 0 the base, slot k+1 delta k.
+            for (int k = -1; k < static_cast<int>(rp.deltas.size()); ++k) {
+                const CompiledRule& cr = plans_.variant(i, k);
+                VariantProfile v;
+                v.delta_atom = k;
+                if (!cr.body.empty()) v.lead = prog_.decls[cr.body[0].relation].name;
+                profile_[i].variants.push_back(std::move(v));
+            }
+        }
         // Load inline facts.
         for (std::size_t i = 0; i < prog_.program.rules.size(); ++i) {
             const Rule& rule = prog_.program.rules[i];
@@ -415,7 +450,10 @@ public:
             p.head = prog_.program.rules[i].head.relation;
             p.rule_index = i;
             p.recursive = prog_.rule_recursive[i];
-            out.push_back(p);
+            std::erase_if(p.variants, [](const VariantProfile& v) {
+                return v.evaluations == 0;
+            });
+            out.push_back(std::move(p));
         }
         std::sort(out.begin(), out.end(),
                   [](const RuleProfile& a, const RuleProfile& b) {
@@ -493,12 +531,10 @@ private:
 
             for (std::size_t rule_idx : stratum.rules) {
                 if (!prog_.rule_recursive[rule_idx]) continue;
-                const CompiledRule& cr = compiled_[rule_idx];
+                const RulePlans& rp = plans_.rules[rule_idx];
                 // One variant per same-stratum positive atom occurrence.
-                for (std::size_t k = 0; k < cr.body.size(); ++k) {
-                    const CompiledAtom& atom = cr.body[k];
-                    if (atom.negated) continue;
-                    if (!delta.count(atom.relation)) continue;
+                for (std::size_t k = 0; k < rp.deltas.size(); ++k) {
+                    if (!delta.count(rp.base.body[k].relation)) continue;
                     evaluate_rule(rule_idx, static_cast<int>(k), &delta, &fresh);
                 }
             }
@@ -547,7 +583,7 @@ private:
         bool touched = false;
         for (std::size_t rule_idx : stratum.rules) {
             if (prog_.program.rules[rule_idx].is_fact()) continue;
-            for (const CompiledAtom& atom : compiled_[rule_idx].body) {
+            for (const CompiledAtom& atom : plans_.rules[rule_idx].base.body) {
                 if (!atom.negated && delta_in.count(atom.relation) &&
                     !delta_in.at(atom.relation)->empty()) {
                     touched = true;
@@ -573,14 +609,10 @@ private:
         DTREE_METRIC_INC(datalog_refixpoint_iterations);
         for (std::size_t rule_idx : stratum.rules) {
             if (prog_.program.rules[rule_idx].is_fact()) continue;
-            const CompiledRule& cr = compiled_[rule_idx];
-            for (std::size_t k = 0; k < cr.body.size(); ++k) {
-                const CompiledAtom& atom = cr.body[k];
-                if (atom.negated) continue;
-                if (!delta_in.count(atom.relation) ||
-                    delta_in.at(atom.relation)->empty()) {
-                    continue;
-                }
+            const RulePlans& rp = plans_.rules[rule_idx];
+            for (std::size_t k = 0; k < rp.deltas.size(); ++k) {
+                const std::size_t rel = rp.base.body[k].relation;
+                if (!delta_in.count(rel) || delta_in.at(rel)->empty()) continue;
                 evaluate_rule(rule_idx, static_cast<int>(k), &delta_in, &fresh);
             }
         }
@@ -631,9 +663,9 @@ private:
     bool ingest_safe(std::size_t rel) const {
         std::vector<char> negated(relations_.size(), 0);
         std::vector<std::vector<std::size_t>> heads(relations_.size());
-        for (std::size_t i = 0; i < compiled_.size(); ++i) {
+        for (std::size_t i = 0; i < plans_.rules.size(); ++i) {
             if (prog_.program.rules[i].is_fact()) continue;
-            const CompiledRule& cr = compiled_[i];
+            const CompiledRule& cr = plans_.rules[i].base;
             for (const CompiledAtom& atom : cr.body) {
                 if (atom.negated) {
                     negated[atom.relation] = 1;
@@ -663,7 +695,7 @@ private:
         const auto& d = prog_.decls[rel];
         auto scratch = std::make_unique<RelationT>(
             d.name + "@scratch", static_cast<unsigned>(d.arity()),
-            indexes_.relation_indexes[rel]);
+            plans_.relation_indexes[rel]);
         if constexpr (RelationT::combine_capable) {
             if (combine_threshold_) {
                 scratch->set_combine_threshold(*combine_threshold_);
@@ -721,33 +753,45 @@ private:
         }
     }
 
-    /// Evaluates one rule (or one delta-variant of it): delta_atom is the
-    /// body position reading DELTA, or -1 for the non-recursive form.
-    /// Derived head tuples that are not yet in the head's FULL relation are
-    /// inserted into NEW (recursive) or directly into FULL (non-recursive).
-    /// RAII profiling scope: accumulates wall time + evaluation count.
+    /// RAII profiling scope: accumulates wall time + evaluation count into
+    /// the rule and the variant that ran.
     struct ProfileScope {
-        explicit ProfileScope(RuleProfile& profile) : p(profile) {}
+        ProfileScope(RuleProfile& rule, VariantProfile& variant)
+            : p(rule), v(variant) {}
         RuleProfile& p;
+        VariantProfile& v;
         /// New head tuples derived during this evaluation; worker threads
         /// accumulate privately and add here once, on exit.
         std::atomic<std::uint64_t> derived{0};
+        std::uint64_t outer = 0; ///< lead-atom matches fanned out
         util::Timer timer;
         ~ProfileScope() {
-            p.seconds += timer.elapsed_s();
+            const double s = timer.elapsed_s();
+            p.seconds += s;
+            v.seconds += s;
             ++p.evaluations;
+            ++v.evaluations;
+            v.outer_tuples += outer;
             const std::uint64_t n = derived.load(std::memory_order_relaxed);
             p.tuples += n;
             DTREE_METRIC_ADD(datalog_tuples_derived, n);
         }
     };
 
+    /// Evaluates one rule (or one delta-variant of it): delta_atom is the
+    /// base body position reading DELTA, or -1 for the non-recursive form.
+    /// The variant's compiled order may start from that atom (its
+    /// delta_pos). Derived head tuples that are not yet in the head's FULL
+    /// relation are inserted into NEW (recursive) or directly into FULL
+    /// (non-recursive).
     void evaluate_rule(std::size_t rule_idx, int delta_atom,
                        std::map<std::size_t, std::unique_ptr<RelationT>>* delta,
                        std::map<std::size_t, std::unique_ptr<RelationT>>* fresh) {
         DTREE_METRIC_TIMER(datalog_rule_eval_ns);
-        ProfileScope profile_scope(profile_[rule_idx]);
-        const CompiledRule& cr = compiled_[rule_idx];
+        RuleProfile& rule_profile = profile_[rule_idx];
+        ProfileScope profile_scope(rule_profile,
+                                   rule_profile.variants[delta_atom + 1]);
+        const CompiledRule& cr = plans_.variant(rule_idx, delta_atom);
         const std::size_t head_rel = cr.head.relation;
 
         // Constant-only constraints gate the whole rule.
@@ -781,22 +825,22 @@ private:
                 new_rel ? &views_.get(0, *new_rel, true) : nullptr;
             std::array<Value, 32> env{};
             std::uint64_t derived = 0;
-            join_from(rule_idx, cr, 0, env, body_views, head_full, head_new,
-                      derived);
+            join_from(cr, 0, env, body_views, head_full, head_new, derived);
             profile_scope.derived.fetch_add(derived, std::memory_order_relaxed);
             return;
         }
 
-        // Materialise the outer atom's candidate tuples (source order).
+        // Materialise the outer (first compiled) atom's candidate tuples.
         std::vector<StorageTuple> outer;
         {
-            const bool from_delta = delta_atom == 0;
+            const bool from_delta = cr.delta_pos == 0;
             RelationT& rel0 =
                 resolve(cr.body[0].relation,
                         from_delta ? Version::Delta : Version::Full, delta);
             auto& view = views_.get(0, rel0, from_delta);
-            collect_atom_matches(rule_idx, 0, cr.body[0], view, outer);
+            collect_atom_matches(cr.body[0], view, outer);
         }
+        profile_scope.outer = outer.size();
         if (outer.empty()) return;
 
         // Fan the outer matches out over the pool in grain-sized chunks —
@@ -811,7 +855,7 @@ private:
             std::vector<typename RelationT::LocalView*> body_views;
             body_views.reserve(cr.body.size());
             for (std::size_t a = 0; a < cr.body.size(); ++a) {
-                const bool from_delta = static_cast<int>(a) == delta_atom;
+                const bool from_delta = static_cast<int>(a) == cr.delta_pos;
                 body_views.push_back(&views_.get(
                     wid,
                     resolve(cr.body[a].relation,
@@ -829,8 +873,7 @@ private:
             for (std::size_t i = b; i < e; ++i) {
                 if (!bind_atom(cr.body[0], outer[i], env)) continue;
                 if (!constraints_hold(cr, 0, env)) continue;
-                join_from(rule_idx, cr, 1, env, body_views, head_full, head_new,
-                          derived);
+                join_from(cr, 1, env, body_views, head_full, head_new, derived);
             }
             profile_scope.derived.fetch_add(derived, std::memory_order_relaxed);
         });
@@ -845,11 +888,10 @@ private:
 
     /// Collects all tuples of atom 0 consistent with its constants (other
     /// columns are unconstrained at this point: leading atom, empty env).
-    void collect_atom_matches(std::size_t rule_idx, std::size_t atom_idx,
-                              const CompiledAtom& atom,
+    void collect_atom_matches(const CompiledAtom& atom,
                               typename RelationT::LocalView& view,
                               std::vector<StorageTuple>& out) {
-        const AtomPlan& plan = indexes_.plan(rule_idx, atom_idx);
+        const AtomPlan& plan = atom.plan;
         auto sink = [&](const StorageTuple& t) {
             // Constants / repeated variables are re-checked by bind_atom
             // later; collecting a superset here is always sound.
@@ -858,7 +900,7 @@ private:
         if constexpr (Storage::ordered) {
             if (!plan.full_scan && plan.bound_prefix < atom.arity) {
                 StorageTuple bound{};
-                const IndexOrder& order = indexes_.relation_indexes[atom.relation][plan.index];
+                const IndexOrder& order = plans_.relation_indexes[atom.relation][plan.index];
                 for (unsigned p = 0; p < plan.bound_prefix; ++p) {
                     const ColumnRef& col = atom.cols[order.order[p]];
                     bound[p] = col.constant; // leading atom: only constants can be bound
@@ -910,7 +952,7 @@ private:
     /// body_views holds one cached view pointer per atom occurrence (two
     /// atoms on the same relation share a view; scans are reentrant —
     /// iteration state lives in the scan, only hints live in the view).
-    void join_from(std::size_t rule_idx, const CompiledRule& cr, std::size_t atom_idx,
+    void join_from(const CompiledRule& cr, std::size_t atom_idx,
                    std::array<Value, 32>& env,
                    std::vector<typename RelationT::LocalView*>& body_views,
                    typename RelationT::LocalView& head_full,
@@ -944,22 +986,20 @@ private:
             }
             const bool present = view.contains(probe);
             if (present == atom.negated) return;
-            join_from(rule_idx, cr, atom_idx + 1, env, body_views, head_full, head_new,
-                      derived);
+            join_from(cr, atom_idx + 1, env, body_views, head_full, head_new, derived);
             return;
         }
 
-        const AtomPlan& plan = indexes_.plan(rule_idx, atom_idx);
+        const AtomPlan& plan = atom.plan;
         auto process = [&](const StorageTuple& t) {
             if (!bind_atom(atom, t, env)) return;
             if (!constraints_hold(cr, static_cast<int>(atom_idx), env)) return;
-            join_from(rule_idx, cr, atom_idx + 1, env, body_views, head_full, head_new,
-                      derived);
+            join_from(cr, atom_idx + 1, env, body_views, head_full, head_new, derived);
         };
         if constexpr (Storage::ordered) {
             if (!plan.full_scan) {
                 const IndexOrder& order =
-                    indexes_.relation_indexes[atom.relation][plan.index];
+                    plans_.relation_indexes[atom.relation][plan.index];
                 StorageTuple bound{};
                 for (unsigned p = 0; p < plan.bound_prefix; ++p) {
                     const ColumnRef& col = atom.cols[order.order[p]];
@@ -975,9 +1015,8 @@ private:
 
     AnalyzedProgram prog_;
     SymbolTable symbols_;
-    IndexSelection indexes_;
+    IndexSelection plans_;
     std::vector<std::unique_ptr<RelationT>> relations_;
-    std::vector<CompiledRule> compiled_;
     std::vector<RuleProfile> profile_;
     ViewCache<RelationT> views_;
     unsigned threads_ = 1;

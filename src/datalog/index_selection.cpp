@@ -36,7 +36,8 @@ ColumnRef lower_argument(const Argument& arg,
 
 } // namespace
 
-CompiledRule compile_rule(const AnalyzedProgram& prog, std::size_t rule_idx) {
+CompiledRule compile_rule(const AnalyzedProgram& prog, std::size_t rule_idx,
+                          int lead) {
     const Rule& rule = prog.program.rules[rule_idx];
     CompiledRule out;
     std::map<std::string, unsigned> var_ids;
@@ -50,6 +51,11 @@ CompiledRule compile_rule(const AnalyzedProgram& prog, std::size_t rule_idx) {
     }
     for (const Atom& atom : rule.body) {
         if (atom.negated) ordered_body.push_back(&atom);
+    }
+    if (lead > 0) {
+        // The rest keep their relative order.
+        const auto first = ordered_body.begin();
+        std::rotate(first, first + lead, first + lead + 1);
     }
 
     // Track which body atom (by compiled position) first binds each variable
@@ -156,31 +162,46 @@ IndexOrder order_from_chain(const std::vector<std::uint8_t>& chain, unsigned ari
     return o;
 }
 
+AtomPlan plan_atom(const CompiledAtom& atom,
+                   const std::vector<IndexOrder>& indexes) {
+    AtomPlan plan;
+    const std::uint8_t full = static_cast<std::uint8_t>((1u << atom.arity) - 1);
+    if (atom.negated || atom.bound_mask == full) {
+        // Fully bound: membership test on the primary index.
+        plan.full_scan = false;
+        plan.index = 0;
+        plan.bound_prefix = atom.arity;
+    } else if (atom.bound_mask != 0) {
+        for (unsigned i = 0; i < indexes.size(); ++i) {
+            const int prefix = indexes[i].served_prefix(atom.bound_mask);
+            if (prefix >= 0) {
+                plan.full_scan = false;
+                plan.index = i;
+                plan.bound_prefix = static_cast<unsigned>(prefix);
+                break;
+            }
+        }
+        // Unserved: a full scan remains correct. Of the plans kept, only a
+        // delta-first lead's constant columns can end up here.
+    }
+    return plan;
+}
+
 } // namespace
 
 IndexSelection select_indexes(const AnalyzedProgram& prog) {
     IndexSelection out;
     const std::size_t R = prog.decls.size();
     out.relation_indexes.resize(R);
+    out.rules.resize(prog.program.rules.size());
 
-    // Gather the signature set per relation (positive atoms; negated atoms
-    // are always fully bound and answered by a membership test).
+    // Gather the signature set per relation from the base forms (negated
+    // atoms are always fully bound and answered by a membership test).
     std::vector<std::vector<std::uint8_t>> signatures(R);
-    struct PendingPlan {
-        std::size_t rule, atom, relation;
-        std::uint8_t signature;
-        unsigned arity;
-        bool negated;
-    };
-    std::vector<PendingPlan> pending;
-
     for (std::size_t r = 0; r < prog.program.rules.size(); ++r) {
         if (prog.program.rules[r].is_fact()) continue;
-        const CompiledRule cr = compile_rule(prog, r);
-        for (std::size_t a = 0; a < cr.body.size(); ++a) {
-            const CompiledAtom& atom = cr.body[a];
-            pending.push_back({r, a, atom.relation, atom.bound_mask, atom.arity,
-                               atom.negated});
+        out.rules[r].base = compile_rule(prog, r);
+        for (const CompiledAtom& atom : out.rules[r].base.body) {
             const std::uint8_t full =
                 static_cast<std::uint8_t>((1u << atom.arity) - 1);
             if (!atom.negated && atom.bound_mask != 0 && atom.bound_mask != full) {
@@ -229,32 +250,35 @@ IndexSelection select_indexes(const AnalyzedProgram& prog) {
         }
     }
 
-    // Assign plans.
-    for (const PendingPlan& p : pending) {
-        AtomPlan plan;
-        const std::uint8_t full = static_cast<std::uint8_t>((1u << p.arity) - 1);
-        if (p.negated || p.signature == full) {
-            // Fully bound: membership test on the primary index.
-            plan.full_scan = false;
-            plan.index = 0;
-            plan.bound_prefix = p.arity;
-        } else if (p.signature == 0) {
-            plan.full_scan = true;
-        } else {
-            const auto& indexes = out.relation_indexes[p.relation];
-            for (unsigned i = 0; i < indexes.size(); ++i) {
-                const int prefix = indexes[i].served_prefix(p.signature);
-                if (prefix >= 0) {
-                    plan.full_scan = false;
-                    plan.index = i;
-                    plan.bound_prefix = static_cast<unsigned>(prefix);
-                    break;
+    auto plan_rule = [&](CompiledRule& cr) {
+        for (CompiledAtom& atom : cr.body) {
+            atom.plan = plan_atom(atom, out.relation_indexes[atom.relation]);
+        }
+    };
+
+    // Plan the base forms, then one variant per positive atom k. Delta-first
+    // only when no later atom falls back to a full scan — each is then a
+    // membership test or a prefix an existing index serves — else the base
+    // order reading DELTA at k.
+    for (std::size_t r = 0; r < prog.program.rules.size(); ++r) {
+        if (prog.program.rules[r].is_fact()) continue;
+        RulePlans& rp = out.rules[r];
+        plan_rule(rp.base);
+        for (std::size_t k = 0; k < rp.base.body.size() && !rp.base.body[k].negated;
+             ++k) {
+            CompiledRule v = rp.base;
+            v.delta_pos = static_cast<int>(k);
+            if (k > 0) {
+                CompiledRule first = compile_rule(prog, r, static_cast<int>(k));
+                plan_rule(first);
+                if (std::none_of(first.body.begin() + 1, first.body.end(),
+                                 [](const CompiledAtom& a) { return a.plan.full_scan; })) {
+                    first.delta_pos = 0;
+                    v = std::move(first);
                 }
             }
-            // Fallback (cannot happen: every non-trivial signature got a
-            // chain): full scan remains correct.
+            rp.deltas.push_back(std::move(v));
         }
-        out.atom_plans[{p.rule, p.atom}] = plan;
     }
     return out;
 }

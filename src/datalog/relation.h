@@ -37,9 +37,8 @@ namespace dtree::datalog {
 /// `prefix` columns equal `bound[0..prefix)`: `lo` is the prefix zero-padded,
 /// `hi` the prefix incremented as a number with carry. Returns false when the
 /// range has no exclusive upper bound (prefix == 0, or all prefix columns are
-/// already at max) — callers must then scan to the end and filter. Shared by
-/// the snapshot scan, the quiescent Relation scan, and the wire-protocol
-/// RANGE handler so all three agree on range semantics.
+/// already at max) — callers must then scan to the end and filter. For the
+/// snapshot scan, whose range walk is half-open.
 inline bool prefix_bounds(const StorageTuple& bound, unsigned prefix,
                           StorageTuple& lo, StorageTuple& hi) {
     lo = StorageTuple{};
@@ -56,6 +55,23 @@ inline bool prefix_bounds(const StorageTuple& bound, unsigned prefix,
         }
     }
     return false;
+}
+
+/// The inclusive storage range [lo, hi] of every tuple whose first `prefix`
+/// columns equal `bound[0..prefix)`: the prefix, then each remaining column
+/// at 0 in `lo` and at max in `hi`. For the adapters' inclusive
+/// for_each_in_range; never needs a fallback.
+inline void prefix_range(const StorageTuple& bound, unsigned prefix,
+                         StorageTuple& lo, StorageTuple& hi) {
+    for (unsigned c = 0; c < kMaxArity; ++c) {
+        if (c < prefix) {
+            lo[c] = bound[c];
+            hi[c] = bound[c];
+        } else {
+            lo[c] = 0;
+            hi[c] = std::numeric_limits<Value>::max();
+        }
+    }
 }
 
 /// Operation counters (Table 2's "Evaluation Statistics" row group).
@@ -330,22 +346,17 @@ public:
     /// back in source column order).
     template <typename Fn>
     void scan_prefix(const StorageTuple& bound, unsigned prefix, Fn&& fn) const {
-        StorageTuple lo, hi;
-        const bool bounded = prefix_bounds(bound, prefix, lo, hi);
-        auto filtered = [&](const StorageTuple& t) {
-            for (unsigned c = 0; c < prefix; ++c) {
-                if (t[c] != bound[c]) return;
-            }
-            fn(t);
-        };
         if constexpr (Storage::ordered) {
-            if (bounded) {
-                indexes_[0]->for_each_in_range(lo, hi, fn);
-            } else {
-                indexes_[0]->for_each(filtered);
-            }
+            StorageTuple lo, hi;
+            prefix_range(bound, prefix, lo, hi);
+            indexes_[0]->for_each_in_range(lo, hi, fn);
         } else {
-            indexes_[0]->for_each(filtered);
+            indexes_[0]->for_each([&](const StorageTuple& t) {
+                for (unsigned c = 0; c < prefix; ++c) {
+                    if (t[c] != bound[c]) return;
+                }
+                fn(t);
+            });
         }
     }
 
@@ -419,15 +430,7 @@ public:
             ++counters_.lower_bound_calls;
             ++counters_.upper_bound_calls;
             StorageTuple lo, hi;
-            for (unsigned c = 0; c < kMaxArity; ++c) {
-                if (c < prefix) {
-                    lo[c] = bound[c];
-                    hi[c] = bound[c];
-                } else {
-                    lo[c] = 0;
-                    hi[c] = std::numeric_limits<Value>::max();
-                }
-            }
+            prefix_range(bound, prefix, lo, hi);
             const IndexOrder& order = rel_->orders_[idx];
             if constexpr (has_local_range) {
                 locals_[idx].for_each_in_range(lo, hi, [&](const StorageTuple& stored) {

@@ -270,9 +270,7 @@ p(x,z) :- p(x,y), e(y,z).
     // e is probed with column 0 bound: identity order serves it; exactly one
     // index needed.
     EXPECT_EQ(sel.relation_indexes[e_id].size(), 1u);
-    const auto& plan = sel.plan(0, 1); // rule 1? rule 0 has only 1 atom
-    (void)plan;
-    const auto& plan_rec = sel.plan(0, 1);
+    const auto& plan_rec = sel.rules[0].base.body[1].plan;
     EXPECT_FALSE(plan_rec.full_scan);
     EXPECT_EQ(plan_rec.index, 0u);
     EXPECT_EQ(plan_rec.bound_prefix, 1u);
@@ -290,7 +288,7 @@ r(x) :- q(x), e(y,x).
     // e probed with column 1 bound: needs an index ordered (y-first).
     ASSERT_EQ(sel.relation_indexes[e_id].size(), 2u);
     EXPECT_EQ(sel.relation_indexes[e_id][1].order[0], 1u);
-    const auto& plan = sel.plan(0, 1);
+    const auto& plan = sel.rules[0].base.body[1].plan;
     EXPECT_FALSE(plan.full_scan);
     EXPECT_EQ(plan.index, 1u);
     EXPECT_EQ(plan.bound_prefix, 1u);

@@ -160,6 +160,82 @@ TEST(DatalogIngest, Ec2Like) {
     check_workload(make_ec2_like(60, 5), {"blocked"});
 }
 
+// A hand-written program whose tag-delta variant of the `hit` rule compiles
+// delta-first (index_selection.h): the lead atom carries the constant 7 and
+// the repeated variable b, and `w != b` becomes checkable at the lead instead
+// of after the second atom. Every storage's K-batch result must equal the
+// GoogleBTree one-shot fixpoint.
+Workload delta_first_workload() {
+    Workload w;
+    w.name = "delta_first";
+    w.source = R"(
+.decl edge(a:number, b:number) input
+.decl tag(k:number, x:number, y:number, w:number) input
+.decl skip(x:number) input
+.decl reach(a:number, b:number)
+.decl hit(a:number, b:number) output
+reach(a,b) :- edge(a,b).
+reach(a,c) :- reach(a,b), edge(b,c).
+hit(b,c) :- reach(b,c), tag(7,b,b,w), w != b, !skip(c).
+)";
+    constexpr Value kNodes = 40;
+    Contents edge, tag, skip;
+    for (Value v = 0; v < kNodes; ++v) {
+        edge.push_back(StorageTuple{v, (v * 7 + 3) % kNodes});
+        if (v % 3 == 0) edge.push_back(StorageTuple{v, (v * 11 + 5) % kNodes});
+        // Three or four tags per node, so every kind lands in some batch.
+        tag.push_back(StorageTuple{7, v, v, v});           // fails w != b
+        tag.push_back(StorageTuple{7, v, v + 1, 100 + v}); // repeated-variable miss
+        tag.push_back(StorageTuple{3, v, v, 100 + v});     // constant miss
+        if (v % 2 == 1) tag.push_back(StorageTuple{7, v, v, 200 + v}); // match
+        if (v % 6 == 0) skip.push_back(StorageTuple{v});
+    }
+    w.facts.emplace_back("edge", std::move(edge));
+    w.facts.emplace_back("tag", std::move(tag));
+    w.facts.emplace_back("skip", std::move(skip));
+    w.output_relations = {"hit"};
+    return w;
+}
+
+/// Tuples per relation in sorted order (hash storages drain unordered).
+RelationMap sorted(RelationMap m) {
+    for (auto& [rel, tuples] : m) std::sort(tuples.begin(), tuples.end());
+    return m;
+}
+
+template <typename... Storages>
+void expect_batches_match_one_shot(const Workload& w, const RelationMap& want,
+                                   const std::set<std::string>& keep_whole) {
+    const unsigned full = dtree::util::env_threads(8);
+    (
+        [&] {
+            using E = Engine<Storages>;
+            const std::string label = w.name + "/" + Storages::name();
+            expect_equal(sorted(incremental<E>(w, 1, 4, keep_whole)), want,
+                         label + "/1T");
+            expect_equal(sorted(incremental<E>(w, full, 4, keep_whole)), want,
+                         label + "/fullT");
+        }(),
+        ...);
+}
+
+TEST(DatalogIngest, DeltaFirstVariantOnAllStorages) {
+    const Workload w = delta_first_workload();
+    const AnalyzedProgram prog = compile(w.source);
+    const IndexSelection sel = select_indexes(prog);
+    ASSERT_EQ(sel.rules[2].deltas.size(), 2u);
+    ASSERT_EQ(sel.rules[2].deltas[1].delta_pos, 0) << "tag-delta must lead";
+    ASSERT_EQ(sel.rules[2].deltas[1].body[0].relation, prog.relation_id("tag"));
+
+    const RelationMap want = sorted(one_shot<Engine<storage::GoogleBTree>>(w, 1));
+    ASSERT_FALSE(want.at("hit").empty());
+    expect_batches_match_one_shot<storage::OurBTree, storage::OurBTreeSnap,
+                                  storage::OurBTreeCombine, storage::OurBTreeFp,
+                                  storage::OurBTreeNoHints, storage::StlSet,
+                                  storage::StlHashSet, storage::GoogleBTree,
+                                  storage::TbbHashSet>(w, want, {"skip"});
+}
+
 // Serve-probe shape: reader threads pin snapshots and self-check WHILE
 // ingest batches commit (this is the configuration the TSan CI leg runs).
 TEST(DatalogIngest, SnapshotReadersDuringIngest) {

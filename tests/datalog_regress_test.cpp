@@ -4,11 +4,15 @@
 // textbook programs with independently known answers.
 
 #include "datalog/program.h"
+#include "datalog/service.h"
+#include "util/json.h"
 #include "util/random.h"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <sstream>
 
 namespace {
 
@@ -273,6 +277,69 @@ tc(x,z) :- tc(x,y), e(y,z).
     // non-recursive rule exactly once.
     EXPECT_GT(profile[0].evaluations, 100u);
     EXPECT_EQ(profile[1].evaluations, 1u);
+
+    // Per variant: the one-shot run only evaluates the tc-delta variant of
+    // the recursive rule and the base form of the other one.
+    ASSERT_EQ(profile[0].variants.size(), 1u);
+    EXPECT_EQ(profile[0].variants[0].delta_atom, 0);
+    EXPECT_EQ(profile[0].variants[0].lead, "tc");
+    EXPECT_EQ(profile[0].variants[0].evaluations, profile[0].evaluations);
+    EXPECT_EQ(profile[0].variants[0].seconds, profile[0].seconds);
+    ASSERT_EQ(profile[1].variants.size(), 1u);
+    EXPECT_EQ(profile[1].variants[0].delta_atom, -1);
+    EXPECT_EQ(profile[1].variants[0].lead, "e");
+    EXPECT_EQ(profile[1].variants[0].outer_tuples, 199u);
+
+    // A commit on e runs the e-delta variants; the rule totals stay the sum
+    // of their variants. tc(·,y) has no index, so the recursive rule's
+    // e-delta variant keeps source order and still leads with tc.
+    engine.ingest("e", {StorageTuple{199, 200}});
+    engine.refixpoint(2);
+    for (const RuleProfile& p : engine.profile()) {
+        std::uint64_t evaluations = 0;
+        for (const VariantProfile& v : p.variants) evaluations += v.evaluations;
+        EXPECT_EQ(evaluations, p.evaluations) << "rule #" << p.rule_index;
+    }
+    const auto after = engine.profile();
+    const RuleProfile& rec = after[0].recursive ? after[0] : after[1];
+    ASSERT_EQ(rec.variants.size(), 2u);
+    EXPECT_EQ(rec.variants[1].delta_atom, 1);
+    EXPECT_EQ(rec.variants[1].lead, "tc");
+    EXPECT_EQ(rec.variants[1].evaluations, 1u);
+
+    std::ostringstream os;
+    dtree::json::Writer w(os);
+    rec.write_json(w);
+    EXPECT_NE(os.str().find("\"variants\""), std::string::npos);
+    EXPECT_NE(os.str().find("\"outer_tuples\""), std::string::npos);
+}
+
+// Relation::scan_prefix on plain (non-snapshot) ordered storage used to pass
+// the prefix's exclusive successor to the adapter's inclusive range scan, so
+// a scan of prefix 1 also returned (2,0).
+TEST(Regress, ScanPrefixStaysInsideItsPrefix) {
+    constexpr Value kMax = std::numeric_limits<Value>::max();
+    DefaultEngine engine(compile(R"(
+.decl s(a:number, b:number) input
+)"));
+    engine.add_facts("s", {StorageTuple{1, 5}, StorageTuple{1, 7}, StorageTuple{2, 0},
+                           StorageTuple{kMax, 3}, StorageTuple{kMax, kMax}});
+    engine.run(1);
+    EngineService<DefaultEngine> service(engine);
+    auto scan = [&](StorageTuple bound, unsigned prefix) {
+        std::vector<StorageTuple> out;
+        service.scan("s", bound, prefix, [&](const StorageTuple& t) { out.push_back(t); });
+        return out;
+    };
+    using Tuples = std::vector<StorageTuple>;
+    EXPECT_EQ(scan(StorageTuple{1}, 1), (Tuples{{1, 5}, {1, 7}}));
+    EXPECT_EQ(scan(StorageTuple{2}, 1), (Tuples{{2, 0}}));
+    EXPECT_EQ(scan(StorageTuple{1, 7}, 2), (Tuples{{1, 7}}));
+    EXPECT_TRUE(scan(StorageTuple{3}, 1).empty());
+    // All-max prefixes: no exclusive successor exists.
+    EXPECT_EQ(scan(StorageTuple{kMax}, 1), (Tuples{{kMax, 3}, {kMax, kMax}}));
+    EXPECT_EQ(scan(StorageTuple{kMax, kMax}, 2), (Tuples{{kMax, kMax}}));
+    EXPECT_EQ(scan(StorageTuple{}, 0).size(), 5u);
 }
 
 TEST(Regress, LargeRandomTcParallelStressAcrossSeeds) {
