@@ -17,6 +17,10 @@
 // TBB-like hash set on (a), ~2x on (b)); hints add up to 10% on (a) and up
 // to ~1.5x on (b); globally locked structures show some scaling only on the
 // read-heavy workload (reads bypass the lock).
+//
+// The "btree (fp)" row is the same engine on leaf layout v2 (fingerprint
+// membership + append-zone inserts, DESIGN.md §15), so every record carries
+// what that policy pays end to end next to the default tree.
 
 #include "bench/common.h"
 
@@ -61,6 +65,7 @@ void run_section(const char* title, const Workload& w,
     };
     sweep.template operator()<storage::OurBTree>("btree");
     sweep.template operator()<storage::OurBTreeNoHints>("btree (n/h)");
+    sweep.template operator()<storage::OurBTreeFp>("btree (fp)");
     sweep.template operator()<storage::StlSet>("STL rbtset");
     sweep.template operator()<storage::StlHashSet>("STL hashset");
     sweep.template operator()<storage::GoogleBTree>("google btree");

@@ -3,14 +3,11 @@
 // (54%/52% for Doop at 1/16 threads; 77%/76% for the EC2 analysis).
 //
 //   ./build/bench/table2_stats [--full] [--scale=N] [--json=FILE]
-//                              [--combine[=N]] [--fingerprints]
+//                              [--fingerprints]
 //
-// --combine[=N] runs both workloads on the combining-enabled storage
-// (DESIGN.md §14) with trigger threshold N (default: the tree's own); the
-// Zipf-skewed doop-like 16-thread leg is where the hot-leaf path fires.
-// --fingerprints runs them on the leaf-layout-v2 storage (DESIGN.md §15)
-// instead: membership tests resolve through per-leaf fingerprint probes.
-// The two policies pick different storages, so they are mutually exclusive.
+// --fingerprints runs both workloads on the leaf-layout-v2 storage
+// (DESIGN.md §15) instead: membership tests resolve through per-leaf
+// fingerprint probes.
 
 #include "bench/common.h"
 
@@ -32,7 +29,7 @@ struct Row {
     double hint_rate_16t = 0;
 };
 
-/// Storage policy (--combine[=N] / --fingerprints); parsed by
+/// Storage policy (--fingerprints); parsed by
 /// bench::parse_storage_policy in main.
 dtree::bench::StoragePolicy g_policy;
 
@@ -41,9 +38,6 @@ Row measure(const Workload& w) {
     Row row;
     {
         Engine<StorageT> engine(compile(w.source));
-        if (g_policy.combine_threshold_set) {
-            engine.set_combine_threshold(g_policy.combine_threshold);
-        }
         for (const auto& [rel, facts] : w.facts) engine.add_facts(rel, facts);
         engine.run(1);
         row.stats = engine.stats();
@@ -51,9 +45,6 @@ Row measure(const Workload& w) {
     }
     {
         Engine<StorageT> engine(compile(w.source));
-        if (g_policy.combine_threshold_set) {
-            engine.set_combine_threshold(g_policy.combine_threshold);
-        }
         for (const auto& [rel, facts] : w.facts) engine.add_facts(rel, facts);
         engine.run(16);
         row.hint_rate_16t = engine.stats().hints.hit_rate();
@@ -62,9 +53,8 @@ Row measure(const Workload& w) {
 }
 
 Row measure(const Workload& w) {
-    if (g_policy.fingerprints) return measure<storage::OurBTreeFp>(w);
-    return g_policy.combine ? measure<storage::OurBTreeCombine>(w)
-                            : measure<storage::OurBTree>(w);
+    return g_policy.fingerprints ? measure<storage::OurBTreeFp>(w)
+                                 : measure<storage::OurBTree>(w);
 }
 
 void print_row(const char* name, double a, double b) {
@@ -78,12 +68,6 @@ int main(int argc, char** argv) {
     const bool full = cli.get_bool("full");
     const std::size_t scale = cli.get_u64("scale", full ? 20000 : 1200);
     if (!dtree::bench::parse_storage_policy(cli, g_policy)) return 2;
-    if (g_policy.combine && g_policy.fingerprints) {
-        std::fprintf(stderr,
-                     "--combine and --fingerprints pick different storages; "
-                     "pass one\n");
-        return 2;
-    }
 
     const Workload doop = make_doop_like(scale, 7);
     const Workload ec2 = make_ec2_like(scale + scale / 4, 11);

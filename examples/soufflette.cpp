@@ -25,15 +25,10 @@
 // refixpoint(); per-commit latency lands in a p50/p99/p999 histogram
 // reported by --stats and --profile JSON. Combined with --serve-probe, the
 // reader threads keep pinning snapshots while batches commit.
-// --combine[=N] switches to the combining-enabled storage (DESIGN.md §14):
-// inserts that keep losing optimistic validation fall back to hot-leaf
-// elimination/combining after N consecutive retries (default 2; N=0 routes
-// every insert through the adaptive path). Ignored under --serve-probe /
-// --listen, which select the snapshot storage instead.
 // --fingerprints switches to the leaf-layout-v2 storage (DESIGN.md §15):
 // membership tests resolve through per-leaf SIMD fingerprint probes and
-// in-leaf inserts append instead of shifting. Mutually exclusive with
-// --combine; ignored under --serve-probe / --listen like --combine.
+// in-leaf inserts append instead of shifting. Ignored under --serve-probe /
+// --listen, which select the snapshot storage instead.
 // --listen[=PORT] starts the TCP wire-protocol server (DESIGN.md §13) after
 // the initial fixpoint: concurrent sessions answer QUERY/RANGE/COUNT against
 // pinned snapshots while COMMITs group-commit through one writer thread;
@@ -41,6 +36,8 @@
 // process drains and exits cleanly on SIGINT/SIGTERM. Both the stdin loop
 // and the wire server dispatch through the same datalog::EngineService, so
 // the two surfaces cannot diverge.
+// Any other --flag is an error (exit 2): a misspelt option must not run the
+// default configuration silently.
 //
 // Try it on the bundled example:
 //   ./build/examples/soufflette examples/programs/reachability.dl
@@ -58,7 +55,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench/common.h"
 #include "datalog/io.h"
 #include "datalog/program.h"
 #include "datalog/service.h"
@@ -73,11 +69,6 @@
 namespace {
 
 using namespace dtree::datalog;
-
-/// Storage policy (--combine[=N] / --fingerprints); parsed once in main by
-/// bench::parse_storage_policy, consulted by the engine dispatch below and
-/// the threshold plumbing in run_soufflette.
-dtree::bench::StoragePolicy g_policy;
 
 /// What one serve-probe reader observed. Merged and reported after the run.
 struct ProbeTally {
@@ -320,12 +311,6 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
         engine.set_scheduler_mode(mode);
     }
     if (grain) engine.set_grain(grain);
-    if (g_policy.combine_threshold_set) {
-        // Bare --combine keeps the tree's default trigger threshold;
-        // --combine=N overrides it. No-op on storages without the combining
-        // policy (e.g. under --listen).
-        engine.set_combine_threshold(g_policy.combine_threshold);
-    }
 
     for (const auto& decl : prog.decls) {
         if (!decl.is_input) continue;
@@ -564,50 +549,50 @@ int run_soufflette(const std::string& program_path, const dtree::util::Cli& cli,
     return probes_consistent && net_consistent ? 0 : 1;
 }
 
+int usage(const char* argv0) {
+    std::fprintf(stderr,
+                 "usage: %s <program.dl> [--facts=DIR] [--output=DIR] "
+                 "[--jobs=N] [--sched=blocks|steal] [--grain=N] "
+                 "[--serve[=FILE]] [--serve-probe[=N]] [--listen[=PORT]] "
+                 "[--fingerprints] [--stats] [--profile[=FILE]]\n",
+                 argv0);
+    return 2;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2 || argv[1][0] == '-') {
-        std::fprintf(stderr,
-                     "usage: %s <program.dl> [--facts=DIR] [--output=DIR] "
-                     "[--jobs=N] [--sched=blocks|steal] [--grain=N] "
-                     "[--serve[=FILE]] [--serve-probe[=N]] [--listen[=PORT]] "
-                     "[--combine[=N]] [--fingerprints] [--stats] "
-                     "[--profile[=FILE]]\n",
-                     argv[0]);
-        return 2;
-    }
+    if (argc < 2 || argv[1][0] == '-') return usage(argv[0]);
     const std::string program_path = argv[1];
     dtree::util::Cli cli(argc - 1, argv + 1);
+    const auto unknown = cli.unknown_flags(
+        {"facts", "output", "jobs", "sched", "grain", "serve", "serve-probe",
+         "listen", "fingerprints", "stats", "profile"});
+    if (!unknown.empty()) {
+        for (const auto& name : unknown) {
+            std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+        }
+        return usage(argv[0]);
+    }
     const unsigned probe_threads = cli.has("serve-probe")
         ? std::max(1u, static_cast<unsigned>(cli.get_u64("serve-probe", 1)))
         : 0;
 
     try {
-        if (!dtree::bench::parse_storage_policy(cli, g_policy)) return 2;
-        if (g_policy.combine && g_policy.fingerprints) {
-            std::fprintf(stderr,
-                         "--combine and --fingerprints pick different "
-                         "storages; pass one\n");
-            return 2;
-        }
+        const bool fingerprints = cli.get_bool("fingerprints");
         // Snapshot-capable storage whenever someone will read concurrently
         // with evaluation: probe readers or wire-protocol sessions.
         if (probe_threads || cli.has("listen")) {
-            if (g_policy.combine || g_policy.fingerprints) {
+            if (fingerprints) {
                 std::fprintf(stderr,
-                             "note: --combine/--fingerprints are ignored with "
+                             "note: --fingerprints is ignored with "
                              "--serve-probe/--listen (snapshot storage "
                              "selected)\n");
             }
             return run_soufflette<Engine<storage::OurBTreeSnap>>(
                 program_path, cli, probe_threads);
         }
-        if (g_policy.combine) {
-            return run_soufflette<Engine<storage::OurBTreeCombine>>(
-                program_path, cli, 0);
-        }
-        if (g_policy.fingerprints) {
+        if (fingerprints) {
             return run_soufflette<Engine<storage::OurBTreeFp>>(
                 program_path, cli, 0);
         }

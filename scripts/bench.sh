@@ -32,13 +32,8 @@
 # (BENCH_net.json) must show real traffic — nonzero net_connections and
 # net_frames_in, per-op latency histograms with samples — plus the equal +
 # consistent flags: concurrent wire clients committed and queried over
-# loopback sockets and the served state matched the one-shot oracle. The zipf
-# record (skewed duplicate storms, BENCH_zipf.json) must show the adaptive
-# insert path at work — nonzero combine_elisions / combine_batches /
-# combine_batched_keys — and, per paired cell, the combining tree must not
-# retry more than the baseline; the fig4 record doubles as the combining-OFF
-# leg: its combine counters must all be zero, proving the default trees never
-# instantiate the policy (DESIGN.md §14). The fingerprint record
+# loopback sockets and the served state matched the one-shot oracle. The
+# fingerprint record
 # (BENCH_fig4_fp.json, the --fingerprints leg) must show leaf layout v2 at
 # work — nonzero fp_probes / fp_skips / append_inserts — and the ablation's
 # probe table must show the v2 fingerprint cells beating the v1 simd cells
@@ -65,7 +60,7 @@ echo "== configuring $BUILD (DATATREE_METRICS=ON, mode: $MODE) =="
 cmake -B "$BUILD" -S . -DDATATREE_METRICS=ON >/dev/null
 cmake --build "$BUILD" -j"$JOBS" \
   --target fig3_sequential fig4_parallel_insert table2_stats fig5_datalog \
-           ablation_search ablation_zipf snapshot_reads serve_ingest serve_net
+           ablation_search snapshot_reads serve_ingest serve_net
 
 case "$MODE" in
   smoke)
@@ -77,7 +72,6 @@ case "$MODE" in
     TABLE2_ARGS=(--scale=400)
     FIG5_ARGS=(--scale=300 --threads=1,2)
     ABLATION_ARGS=(--n=100000)
-    ZIPF_ARGS=(--smoke --threads=1,4 --zipf=1.1)
     SNAPSHOT_ARGS=(--smoke)
     SERVE_ARGS=(--smoke)
     NET_ARGS=(--smoke)
@@ -88,7 +82,6 @@ case "$MODE" in
     TABLE2_ARGS=()
     FIG5_ARGS=(--scale=600 --threads=1,2,4)
     ABLATION_ARGS=()
-    ZIPF_ARGS=()
     SNAPSHOT_ARGS=()
     SERVE_ARGS=()
     NET_ARGS=()
@@ -99,7 +92,6 @@ case "$MODE" in
     TABLE2_ARGS=(--full)
     FIG5_ARGS=(--full)
     ABLATION_ARGS=(--n=10000000)
-    ZIPF_ARGS=(--full)
     SNAPSHOT_ARGS=(--full)
     SERVE_ARGS=(--full)
     NET_ARGS=(--full)
@@ -130,9 +122,6 @@ run fig4_parallel_insert BENCH_fig4_fp.json "${FIG4_ARGS[@]}" --fingerprints
 run table2_stats        BENCH_table2.json "${TABLE2_ARGS[@]}"
 run fig5_datalog        BENCH_fig5.json   "${FIG5_ARGS[@]}"
 run ablation_search     BENCH_ablation_search.json "${ABLATION_ARGS[@]}"
-# ablation_zipf exits nonzero itself if either tree's final cardinality
-# diverges from the distinct-key oracle of its operation stream.
-run ablation_zipf       BENCH_zipf.json "${ZIPF_ARGS[@]}"
 run snapshot_reads      BENCH_snapshot.json "${SNAPSHOT_ARGS[@]}"
 # serve_ingest exits nonzero itself if the incremental fixpoint diverges from
 # the one-shot oracle or a probe reader sees an inconsistent snapshot.
@@ -150,8 +139,8 @@ out = sys.argv[1]
 records = {}
 for name in ("BENCH_fig3.json", "BENCH_fig4.json", "BENCH_fig4_simd.json",
              "BENCH_fig4_fp.json", "BENCH_table2.json", "BENCH_fig5.json",
-             "BENCH_ablation_search.json", "BENCH_zipf.json",
-             "BENCH_snapshot.json", "BENCH_serve.json", "BENCH_net.json"):
+             "BENCH_ablation_search.json", "BENCH_snapshot.json",
+             "BENCH_serve.json", "BENCH_net.json"):
     with open(f"{out}/{name}") as f:
         records[name] = json.load(f)
     print(f"   {name}: parses ok")
@@ -267,40 +256,6 @@ for counter in ("snapshot_pins", "epoch_advances", "snapshot_cow_images",
     assert m.get(counter, 0) == 0, \
         f"fig4 (snapshot-off) counter {counter} is nonzero"
 print("   fig4 (snapshot-off) epoch/snapshot counters all zero")
-
-zipf = records["BENCH_zipf.json"]
-mz = zipf["metrics"]
-# The skewed sweep must have exercised the contention-adaptive insert path
-# (DESIGN.md §14): duplicate storms answered by the read-only elimination
-# probe, and announced keys applied under a combiner's single write lock.
-for counter in ("combine_elisions", "combine_batches", "combine_batched_keys"):
-    assert mz.get(counter, 0) > 0, f"zipf counter {counter} is zero"
-    print(f"   zipf {counter} = {mz[counter]}")
-cells = zipf["zipf"]["cells"]
-assert cells and len(cells) % 2 == 0, "zipf cells must come in off/on pairs"
-for off, on in zip(cells[0::2], cells[1::2]):
-    assert (off["policy"], on["policy"]) == ("baseline", "combine")
-    assert (off["s"], off["threads"]) == (on["s"], on["threads"])
-    # The baseline cells never instantiate the policy...
-    for c in ("combine_elisions", "combine_batches", "combine_batched_keys"):
-        assert off["counters"][c] == 0, f"zipf baseline cell has nonzero {c}"
-    # ...and the combining cells must not lose MORE optimistic races than
-    # the baseline: the whole point is fewer validation failures / retries.
-    retries = lambda c: (c["counters"]["lock_validations_failed"] +
-                         c["counters"]["btree_restarts"] +
-                         c["counters"]["btree_leaf_retries"])
-    assert retries(on) <= retries(off), \
-        f"zipf s={on['s']} t={on['threads']}: combining retried more " \
-        f"({retries(on)} > {retries(off)})"
-    print(f"   zipf s={on['s']} t={on['threads']}: retries {retries(off)} -> "
-          f"{retries(on)}, {on['counters']['combine_elisions']} elisions, "
-          f"{on['counters']['combine_batches']} batches")
-# Combining-off leg: fig4 runs the default trees, whose policy parameter is
-# off — the elimination/combining layer must never have been instantiated.
-for counter in ("combine_elisions", "combine_batches", "combine_batched_keys"):
-    assert m.get(counter, 0) == 0, \
-        f"fig4 (combining-off) counter {counter} is nonzero"
-print("   fig4 (combining-off) combine counters all zero")
 
 serve = records["BENCH_serve.json"]
 ms = serve["metrics"]

@@ -23,9 +23,6 @@ using OurBTree = baselines::OurBTreeAdapter<StorageTuple>;
 /// Snapshot-enabled flavour (DESIGN.md §11): same tree + Relation::snapshot()
 /// for consistent reads concurrent with evaluation (soufflette --serve-probe).
 using OurBTreeSnap = baselines::OurBTreeSnapAdapter<StorageTuple>;
-/// Combining-enabled flavour (DESIGN.md §14): same tree + the contention-
-/// adaptive elimination/combining insert path (soufflette --combine).
-using OurBTreeCombine = baselines::OurBTreeCombineAdapter<StorageTuple>;
 /// Leaf-layout-v2 flavour (DESIGN.md §15): per-leaf fingerprint membership +
 /// append-zone inserts (soufflette --fingerprints).
 using OurBTreeFp = baselines::OurBTreeFpAdapter<StorageTuple>;

@@ -302,23 +302,11 @@ public:
         return total;
     }
 
-    // -- combining policy (DESIGN.md §14) ------------------------------------
-
-    /// Does the storage expose the contention-adaptive combining knob? True
-    /// for the combining-enabled B-tree adapter (storage::OurBTreeCombine);
-    /// false for every paper-faithful storage.
+    /// False for every storage; kept only because perfbench/traced_storage.h
+    /// reads it. A benchmark-only change removes it with that reference.
     static constexpr bool combine_capable = requires(Storage& s) {
         s.set_combine_threshold(std::uint32_t{});
     };
-
-    /// Sets the retry-streak threshold routing inserts onto the adaptive
-    /// elimination/combining path on EVERY index of this relation (0 =
-    /// always adaptive). Takes effect on each worker's next insert.
-    void set_combine_threshold(std::uint32_t t)
-        requires(combine_capable)
-    {
-        for (auto& idx : indexes_) idx->set_combine_threshold(t);
-    }
 
     // -- quiescent reads -----------------------------------------------------
     // Read surface for a QUIESCENT engine (the stdin serve loop between

@@ -1,19 +1,22 @@
 #pragma once
 
 // Tiny flag parser shared by the figure-reproduction benches. Supports
-// --name=value and boolean --name forms; anything unrecognised is reported
-// and ignored so harness scripts stay robust. Numeric accessors are STRICT:
+// --name=value and boolean --name forms; positional arguments are reported
+// and ignored. unknown_flags() lists the flags outside a binary's own set,
+// for binaries that refuse them (soufflette). Numeric accessors are STRICT:
 // `--jobs=abc` or an out-of-range value throws std::runtime_error naming the
 // flag instead of silently parsing as 0 / wrapping (strtoull's behaviour) —
 // a long-running serve process must not start with a misread configuration.
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dtree::util {
@@ -51,12 +54,6 @@ public:
         return parse_u64(name, it->second);
     }
 
-    double get_double(const std::string& name, double def) const {
-        auto it = flags_.find(name);
-        if (it == flags_.end()) return def;
-        return std::strtod(it->second.c_str(), nullptr);
-    }
-
     std::string get_str(const std::string& name, std::string def) const {
         auto it = flags_.find(name);
         if (it == flags_.end()) return def;
@@ -66,6 +63,19 @@ public:
     /// Every parsed flag, name -> value ("1" for bare booleans). Used by the
     /// bench JSON reports to record the exact configuration of a run.
     const std::map<std::string, std::string>& flags() const { return flags_; }
+
+    /// Names (without the leading --) of the parsed flags not in `known`,
+    /// in sorted order.
+    std::vector<std::string> unknown_flags(
+        std::initializer_list<std::string_view> known) const {
+        std::vector<std::string> out;
+        for (const auto& [name, value] : flags_) {
+            if (std::find(known.begin(), known.end(), name) == known.end()) {
+                out.push_back(name);
+            }
+        }
+        return out;
+    }
 
     /// Comma-separated unsigned list, e.g. --threads=1,2,4,8.
     std::vector<unsigned> get_list(const std::string& name,

@@ -48,7 +48,9 @@ enum class Counter : unsigned {
     lock_write_backoffs,         ///< start_write backoff rounds while the
                                  ///< version word was observed odd (writer held)
     // core/btree.h
-    btree_leaf_retries,       ///< leaf_insert returned Retry (Alg. 1 restart)
+    btree_leaf_retries,       ///< leaf writes abandoned on a lost lease or
+                              ///< upgrade (conflicts only; Alg. 1 restart)
+    btree_split_restarts,     ///< inserts restarted after splitting a full leaf
     btree_restarts,           ///< full descents abandoned on a stale lease
     btree_leaf_splits,        ///< leaf-level node splits
     btree_inner_splits,       ///< inner-node splits (incl. recursive)
@@ -95,11 +97,6 @@ enum class Counter : unsigned {
     snapshot_pins,       ///< Snapshot handles pinned
     snapshot_cow_images, ///< copy-on-write node images retained
     snapshot_cow_bytes,  ///< bytes served out of the retain arena
-    // core/combine.h (hot-leaf elimination + combining, DESIGN.md §14)
-    combine_elisions,     ///< duplicate inserts answered by the read-only
-                          ///< elimination probe (zero stores, no write lock)
-    combine_batches,      ///< combiner write-lock acquisitions (batch applies)
-    combine_batched_keys, ///< announced keys consumed by combiner batches
     // core/btree_detail.h + core/btree.h leaf layout v2 (DESIGN.md §15)
     fp_probes,           ///< fingerprint membership probes issued (v2 leaves)
     fp_skips,            ///< probes with zero byte candidates (no key loads)
@@ -127,6 +124,7 @@ inline const char* counter_name(Counter c) {
         case Counter::lock_write_spins: return "lock_write_spins";
         case Counter::lock_write_backoffs: return "lock_write_backoffs";
         case Counter::btree_leaf_retries: return "btree_leaf_retries";
+        case Counter::btree_split_restarts: return "btree_split_restarts";
         case Counter::btree_restarts: return "btree_restarts";
         case Counter::btree_leaf_splits: return "btree_leaf_splits";
         case Counter::btree_inner_splits: return "btree_inner_splits";
@@ -165,9 +163,6 @@ inline const char* counter_name(Counter c) {
         case Counter::snapshot_pins: return "snapshot_pins";
         case Counter::snapshot_cow_images: return "snapshot_cow_images";
         case Counter::snapshot_cow_bytes: return "snapshot_cow_bytes";
-        case Counter::combine_elisions: return "combine_elisions";
-        case Counter::combine_batches: return "combine_batches";
-        case Counter::combine_batched_keys: return "combine_batched_keys";
         case Counter::fp_probes: return "fp_probes";
         case Counter::fp_skips: return "fp_skips";
         case Counter::fp_false_hits: return "fp_false_hits";

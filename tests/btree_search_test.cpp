@@ -308,7 +308,7 @@ TEST(ColumnCache, CoherentAfterSortedRunAndFromSorted) {
 template <typename Key, unsigned BlockSize, bool Multi>
 using FpTree = dtree::btree<Key, ThreeWayComparator<Key>, BlockSize,
                             detail::SimdSearch, dtree::ConcurrentAccess, Multi,
-                            /*WithSnapshots=*/false, /*WithCombining=*/false,
+                            /*WithSnapshots=*/false,
                             /*WithFingerprints=*/true>;
 
 /// Applies the same inserts to a v1 reference tree and a v2 fingerprint tree

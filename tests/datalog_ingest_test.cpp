@@ -230,8 +230,8 @@ TEST(DatalogIngest, DeltaFirstVariantOnAllStorages) {
     const RelationMap want = sorted(one_shot<Engine<storage::GoogleBTree>>(w, 1));
     ASSERT_FALSE(want.at("hit").empty());
     expect_batches_match_one_shot<storage::OurBTree, storage::OurBTreeSnap,
-                                  storage::OurBTreeCombine, storage::OurBTreeFp,
-                                  storage::OurBTreeNoHints, storage::StlSet,
+                                  storage::OurBTreeFp, storage::OurBTreeNoHints,
+                                  storage::StlSet,
                                   storage::StlHashSet, storage::GoogleBTree,
                                   storage::TbbHashSet>(w, want, {"skip"});
 }

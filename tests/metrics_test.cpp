@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -175,6 +177,32 @@ TEST(Metrics, BTreeSplitsAreCounted) {
                   metrics::value(Counter::hint_misses_insert),
               0u);
     metrics::reset();
+}
+
+// btree_leaf_retries counts conflicts only: a single writer never loses a
+// lease or an upgrade, so at 1 thread every leaf_insert restart is a split
+// restart, on the sorted-leaf (v1) and the fingerprint-leaf (v2) paths alike.
+template <typename Tree>
+void check_single_writer_restarts() {
+    std::vector<std::uint64_t> keys(20000);
+    for (std::uint64_t i = 0; i < keys.size(); ++i) keys[i] = i * 7919;
+    std::mt19937_64 rng(42);
+    std::shuffle(keys.begin(), keys.end(), rng);
+    metrics::reset();
+    Tree t;
+    auto h = t.create_hints();
+    for (std::uint64_t k : keys) t.insert(k, h);
+    EXPECT_EQ(metrics::value(Counter::btree_leaf_retries), 0u);
+    EXPECT_GT(metrics::value(Counter::btree_split_restarts), 100u);
+    // Each point-insert leaf split is followed by exactly one restart.
+    EXPECT_EQ(metrics::value(Counter::btree_split_restarts),
+              metrics::value(Counter::btree_leaf_splits));
+    metrics::reset();
+}
+
+TEST(Metrics, SingleWriterRestartsAreSplitsNotRetries) {
+    check_single_writer_restarts<dtree::btree_set<std::uint64_t>>();
+    check_single_writer_restarts<dtree::fp_btree_set<std::uint64_t>>();
 }
 
 // The arena allocator reports chunk reservations and bytes served.

@@ -372,45 +372,14 @@ TEST_F(TortureTest, InjectedSeedSweepBlock3) {
     }
 }
 
-// -- combining torture: the adaptive insert path under injection (§14) --------
-// The combining tree with threshold 0 routes EVERY insert through the
-// elimination probe / combining publisher, so the standard mixed-phase oracle
-// (insert verdicts, membership, scans, invariants) runs entirely against the
-// adaptive protocol while validate_fail breaks its leases, leaf_retry bumps
-// the trigger streaks, and split_delay stretches the combiner's split
-// windows.
-
+// Zipfian duplicate storm: racing threads re-derive a few hot keys (Zipf
+// s=1.2 over a small universe, scattered so hot keys live in distinct
+// leaves) through Alg. 1's ordinary insert path under full injection — the
+// hot leaves' version words are fought over by every thread, and most inserts
+// end on the duplicate check. The final contents must equal the set oracle
+// exactly.
 template <unsigned B>
-using CombineTree = dtree::combine_btree_set<
-    std::uint64_t, dtree::ThreeWayComparator<std::uint64_t>, B>;
-
-template <unsigned B>
-void run_combine_torture(std::uint64_t seed, bool inject) {
-    if (inject) TortureTest::arm_failpoints(seed);
-    CombineTree<B> tree;
-    tree.set_combine_threshold(0);
-    const auto res = torture_run(tree, TortureTest::options(seed));
-    ASSERT_TRUE(res.ok) << res.failure;
-    EXPECT_GT(res.new_keys, 0u);
-    if (inject) {
-        EXPECT_GT(fail::fires(fail::Site::validate_fail), 0u);
-        EXPECT_GT(fail::fires(fail::Site::leaf_retry), 0u);
-        EXPECT_GT(fail::fires(fail::Site::split_delay), 0u);
-    }
-}
-
-TEST_F(TortureTest, CombineCleanBlock3) { run_combine_torture<3>(1201, false); }
-TEST_F(TortureTest, CombineCleanBlock11) { run_combine_torture<11>(1202, false); }
-TEST_F(TortureTest, CombineInjectedBlock3) { run_combine_torture<3>(1301, true); }
-TEST_F(TortureTest, CombineInjectedBlock4) { run_combine_torture<4>(1302, true); }
-TEST_F(TortureTest, CombineInjectedBlock5) { run_combine_torture<5>(1303, true); }
-
-// Zipfian duplicate storm: the workload the adaptive path exists for. Racing
-// threads re-derive a few hot keys (Zipf s=1.2 over a small universe,
-// scattered so hot keys live in distinct leaves) under full injection; the
-// final contents must equal the set oracle exactly.
-template <unsigned B>
-void run_zipf_storm(std::uint64_t seed, std::uint32_t threshold) {
+void run_zipf_storm(std::uint64_t seed) {
     using Key = std::uint64_t;
     TortureTest::arm_failpoints(seed);
 
@@ -431,8 +400,7 @@ void run_zipf_storm(std::uint64_t seed, std::uint32_t threshold) {
         }
     }
 
-    CombineTree<B> tree;
-    tree.set_combine_threshold(threshold);
+    Tree<B> tree;
     dtree::util::parallel_blocks(
         kThreads, kThreads, [&](unsigned tid, std::size_t, std::size_t) {
             auto h = tree.create_hints();
@@ -449,14 +417,9 @@ void run_zipf_storm(std::uint64_t seed, std::uint32_t threshold) {
         << "zipf duplicate storm diverged from the set oracle";
 }
 
-// threshold 0: every insert adaptive; threshold 2 (the default): the trigger
-// heuristic decides per thread, and injected leaf retries keep flipping
-// threads between the optimistic and adaptive protocols mid-storm.
-TEST_F(TortureTest, CombineZipfStormInjectedBlock3) { run_zipf_storm<3>(1401, 0); }
-TEST_F(TortureTest, CombineZipfStormInjectedBlock5) { run_zipf_storm<5>(1402, 0); }
-TEST_F(TortureTest, CombineZipfStormInjectedDefaultTrigger) {
-    run_zipf_storm<4>(1403, 2);
-}
+TEST_F(TortureTest, ZipfStormInjectedBlock3) { run_zipf_storm<3>(1401); }
+TEST_F(TortureTest, ZipfStormInjectedBlock4) { run_zipf_storm<4>(1403); }
+TEST_F(TortureTest, ZipfStormInjectedBlock5) { run_zipf_storm<5>(1402); }
 
 // -- leaf layout v2 torture (WithFingerprints, DESIGN.md §15) -----------------
 // The mixed-phase oracle against fingerprint leaves: membership probes run

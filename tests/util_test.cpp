@@ -95,20 +95,32 @@ TEST(ParallelBlocks, SumsMatchSequential) {
 
 TEST(Cli, ParsesFlagsAndValues) {
     const char* argv[] = {"prog", "--full", "--n=500", "--name=abc",
-                          "--threads=1,2,4", "--rate=0.5"};
-    Cli cli(6, const_cast<char**>(argv));
+                          "--threads=1,2,4"};
+    Cli cli(5, const_cast<char**>(argv));
     EXPECT_TRUE(cli.get_bool("full"));
     EXPECT_FALSE(cli.get_bool("absent"));
     EXPECT_EQ(cli.get_u64("n", 0), 500u);
     EXPECT_EQ(cli.get_u64("absent", 7), 7u);
     EXPECT_EQ(cli.get_str("name", ""), "abc");
-    EXPECT_DOUBLE_EQ(cli.get_double("rate", 0), 0.5);
     const auto threads = cli.get_list("threads", {});
     ASSERT_EQ(threads.size(), 3u);
     EXPECT_EQ(threads[0], 1u);
     EXPECT_EQ(threads[2], 4u);
     EXPECT_TRUE(cli.has("full"));
     EXPECT_FALSE(cli.has("missing"));
+}
+
+// A binary that refuses unknown flags must see every flag outside its set,
+// bare or valued, and nothing it knows; positionals are not flags.
+TEST(Cli, UnknownFlagsListsNamesOutsideTheKnownSet) {
+    const char* argv[] = {"prog", "prog.dl", "--jobs=4", "--job=4",
+                          "--fast", "--stats"};
+    Cli cli(6, const_cast<char**>(argv));
+    EXPECT_EQ(cli.unknown_flags({"jobs", "stats"}),
+              (std::vector<std::string>{"fast", "job"}));
+    EXPECT_TRUE(cli.unknown_flags({"jobs", "job", "fast", "stats"}).empty());
+    const char* bare[] = {"prog"};
+    EXPECT_TRUE(Cli(1, const_cast<char**>(bare)).unknown_flags({}).empty());
 }
 
 TEST(Cli, DefaultListWhenAbsent) {
