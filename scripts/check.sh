@@ -33,9 +33,9 @@ RUN_ASAN=1
 CONC_TARGETS=(torture_btree_test optimistic_lock_test btree_concurrent_test
               btree_smallnode_test hints_test runtime_scheduler_test
               btree_bulk_merge_test btree_search_test btree_snapshot_test
-              datalog_ingest_test net_server_test)
+              datalog_ingest_test net_server_test btree_zipf_test)
 # ctest -R filter matching exactly the tests those targets register.
-CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SimdLane|ColumnCache|SearchMetrics|Snapshot|Ingest|NetServer|ZipfStorm'
+CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SimdLane|ColumnCache|SearchMetrics|Snapshot|Ingest|NetServer|Zipf'
 # The TSan leg doubles as the scalar-fallback proof for SimdSearch: TSan
 # builds force DTREE_SIMD_VECTOR off (src/core/race_access.h), so the same
 # equivalence + torture tests run the branch-free Access::load column scan
@@ -43,8 +43,9 @@ CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Schedul
 # goes for leaf layout v2 (DESIGN.md §15): the Fp* equivalence and torture
 # variants run the scalar fingerprint scan here, with TSan checking the
 # append-zone publish ordering (key elements before the fp byte). The
-# ZipfStorm torture tests race four writers over a few hot leaves through
-# Alg. 1's ordinary insert path under full failpoint injection.
+# ZipfStorm torture tests and the ZipfTest storms (btree_zipf_test) race four
+# writers over a few hot leaves through Alg. 1's ordinary insert path, on
+# sorted and fingerprint leaves, clean and under failpoint injection.
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
