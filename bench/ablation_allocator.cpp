@@ -29,9 +29,10 @@ double run(const std::vector<Point>& pts, unsigned threads) {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (reject_unknown_flags(cli, {"n", "threads"})) return 2;
     JsonReport report("ablation_allocator", cli);
     const std::size_t n = cli.get_u64("n", 1'000'000);
-    const auto threads = cli.get_list("threads", {1, 2, 4});
+    const auto threads = report.thread_list(cli, {1, 2, 4});
 
     std::size_t side = 1;
     while (side * side < n) ++side;
@@ -44,9 +45,7 @@ int main(int argc, char** argv) {
                                     (ordered ? "ordered" : "random") +
                                     " insertion, M inserts/s",
                                 "threads");
-        std::vector<std::string> xs;
-        for (unsigned t : threads) xs.push_back(std::to_string(t));
-        table.set_x(xs);
+        table.set_x(thread_labels(threads));
         for (unsigned t : threads) {
             table.add("operator new", run<btree_set<Point>>(input, t));
         }

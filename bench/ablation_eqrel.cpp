@@ -51,6 +51,9 @@ double eqrel_closure(std::size_t classes, std::size_t k, std::size_t& pairs) {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (dtree::bench::reject_unknown_flags(cli, {"classes", "class_size"})) {
+        return 2;
+    }
     const std::size_t classes = cli.get_u64("classes", 64);
     const std::size_t k = cli.get_u64("class_size", 256);
 

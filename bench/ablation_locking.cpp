@@ -43,18 +43,17 @@ double run(std::size_t n, unsigned threads, bool ordered, InsertFn&& insert) {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
-    const std::size_t n = cli.get_u64("n", 1'000'000);
-    const auto threads = cli.get_list("threads", {1, 2, 4, 8});
+    if (reject_unknown_flags(cli, {"n", "threads"})) return 2;
     JsonReport report("ablation_locking", cli);
+    const std::size_t n = cli.get_u64("n", 1'000'000);
+    const auto threads = report.thread_list(cli, {1, 2, 4, 8});
 
     for (bool ordered : {true, false}) {
         util::SeriesTable table(std::string("[ablation] locking scheme, ") +
                                     (ordered ? "ordered" : "random") +
                                     " insertion, M inserts/s",
                                 "threads");
-        std::vector<std::string> xs;
-        for (unsigned t : threads) xs.push_back(std::to_string(t));
-        table.set_x(xs);
+        table.set_x(thread_labels(threads));
 
         for (unsigned t : threads) {
             btree_set<std::uint64_t> tree;

@@ -119,8 +119,10 @@ struct Row {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (reject_unknown_flags(cli, {"n", "threads"})) return 2;
+    JsonReport report("ablation_merge", cli);
     const std::size_t n = cli.get_u64("n", 2'000'000);
-    const auto thread_list = cli.get_list("threads", {1, 2, 4});
+    const auto thread_list = report.thread_list(cli, {1, 2, 4});
     const Workload w = make_workload(n);
 
     std::printf("[ablation] sorted bulk merge vs point inserts "
@@ -128,7 +130,9 @@ int main(int argc, char** argv) {
                 w.run.size(), w.seed.size());
     std::printf("%-12s %12s %12s %12s", "node size", "point M/s", "bulk M/s",
                 "packed M/s");
-    for (unsigned t : thread_list) std::printf("  bulk@%uT M/s", t);
+    for (unsigned t : thread_list) {
+        std::printf(" %12s", ("bulk@" + thread_label(t) + "T M/s").c_str());
+    }
     std::printf("\n");
 
     std::vector<Row> rows;
@@ -156,7 +160,6 @@ int main(int argc, char** argv) {
     std::printf("\n(bulk amortises one descent + lock upgrade over a whole leaf;\n"
                 "packed builds fully-dense nodes and is only legal into an empty tree)\n");
 
-    JsonReport report("ablation_merge", cli);
     report.add_section("merge", [&](dtree::json::Writer& jw) {
         jw.begin_array();
         for (const auto& r : rows) {

@@ -2,15 +2,21 @@
 
 // Shared infrastructure for the figure/table reproduction harnesses: point
 // generators matching the paper's micro-benchmarks (§4.1: "insert varying
-// numbers of 2D points", ordered = lexicographic, random = shuffled) and a
-// type-list applicator to sweep adapter types.
+// numbers of 2D points", ordered = lexicographic, random = shuffled), a
+// type-list applicator to sweep adapter types, the flag checks every bench
+// main runs, and the thread-sweep helpers that tag oversubscribed points.
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -64,15 +70,57 @@ inline std::string label(std::size_t side) {
     return std::to_string(side) + "^2";
 }
 
+/// Rejects misspelt flags: prints `unknown flag --NAME` for every parsed
+/// flag outside `known` (`--json`, which JsonReport reads, is always known)
+/// and returns true; the caller then exits 2, as soufflette does.
+inline bool reject_unknown_flags(const util::Cli& cli,
+                                 std::initializer_list<std::string_view> known) {
+    bool rejected = false;
+    for (const auto& name : cli.unknown_flags(known)) {
+        if (name == "json") continue;
+        std::cerr << "unknown flag --" << name << "\n";
+        rejected = true;
+    }
+    if (rejected) {
+        std::cerr << "known flags:";
+        for (auto k : known) std::cerr << " --" << k;
+        std::cerr << " --json\n";
+    }
+    return rejected;
+}
+
+// -- thread sweeps -----------------------------------------------------------
+
+/// A thread count above std::thread::hardware_concurrency() oversubscribes
+/// the host: its point measures time-slicing, not scaling (ROADMAP item 1).
+inline bool oversubscribed(unsigned threads) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw != 0 && threads > hw;
+}
+
+/// Table column label of a thread-count point; oversubscribed points carry
+/// a trailing '*'.
+inline std::string thread_label(unsigned threads) {
+    return std::to_string(threads) + (oversubscribed(threads) ? "*" : "");
+}
+
+/// The column labels of a whole sweep (see thread_label).
+inline std::vector<std::string> thread_labels(
+    const std::vector<unsigned>& threads) {
+    std::vector<std::string> xs;
+    for (unsigned t : threads) xs.push_back(thread_label(t));
+    return xs;
+}
+
 // -- storage policy flags ----------------------------------------------------
 
 /// The storage-policy knobs shared by every binary that instantiates the
-/// tree family — `--search=default|linear|binary|simd`, `--fingerprints` —
+/// tree family — `--search=default|linear|binary`, `--fingerprints` —
 /// parsed once here so fig4 and table2 cannot drift apart on flag syntax.
 /// Each binary documents which policies its rows or engine dispatch act on;
 /// parsing is uniform regardless.
 struct StoragePolicy {
-    enum class SearchMode { Default, Linear, Binary, Simd };
+    enum class SearchMode { Default, Linear, Binary };
 
     SearchMode search = SearchMode::Default; ///< --search= (in-node kernel)
     bool fingerprints = false;               ///< --fingerprints given (§15)
@@ -88,11 +136,8 @@ inline bool parse_storage_policy(const util::Cli& cli, StoragePolicy& out) {
         out.search = StoragePolicy::SearchMode::Linear;
     } else if (s == "binary") {
         out.search = StoragePolicy::SearchMode::Binary;
-    } else if (s == "simd") {
-        out.search = StoragePolicy::SearchMode::Simd;
     } else {
-        std::cerr << "unknown --search=" << s
-                  << " (default|linear|binary|simd)\n";
+        std::cerr << "unknown --search=" << s << " (default|linear|binary)\n";
         return false;
     }
     out.fingerprints = cli.get_bool("fingerprints");
@@ -105,7 +150,8 @@ inline bool parse_storage_policy(const util::Cli& cli, StoragePolicy& out) {
 ///
 ///   {
 ///     "bench": "fig4_parallel_insert",
-///     "config": { "<flag>": "<value>", ... },          // exact CLI flags
+///     "config": { "<flag>": "<value>", ...,            // exact CLI flags
+///                 "oversubscribed": [8, 16] },         // see note_threads
 ///     "metrics_enabled": true,
 ///     "metrics": { "<counter>": n, ... },              // metrics Snapshot
 ///     "throughput": [                                  // one per SeriesTable
@@ -129,6 +175,34 @@ public:
         if (requested()) tables_.push_back(t);
     }
 
+    /// Records the thread counts a bench runs: each one above
+    /// hardware_concurrency() lands in the config's "oversubscribed" list
+    /// (present, possibly empty, once any counts were noted), and a legend
+    /// for thread_label's '*' is printed when there are such points. The
+    /// points still run — records stay comparable across hosts.
+    void note_threads(const std::vector<unsigned>& threads) {
+        if (!oversubscribed_) oversubscribed_.emplace();
+        auto& over = *oversubscribed_;
+        const std::size_t before = over.size();
+        for (unsigned t : threads) {
+            if (oversubscribed(t)) over.push_back(t);
+        }
+        if (over.size() == before) return;
+        std::cout << "(* = oversubscribed: more threads than "
+                     "hardware_concurrency() = "
+                  << std::thread::hardware_concurrency() << ")\n";
+        std::sort(over.begin(), over.end());
+        over.erase(std::unique(over.begin(), over.end()), over.end());
+    }
+
+    /// --threads=LIST (default `def`), noted as above.
+    std::vector<unsigned> thread_list(const util::Cli& cli,
+                                      std::vector<unsigned> def) {
+        auto threads = cli.get_list("threads", std::move(def));
+        note_threads(threads);
+        return threads;
+    }
+
     /// Registers a custom top-level section, emitted as `"name": <fn output>`.
     void add_section(std::string name, std::function<void(json::Writer&)> fn) {
         if (requested()) sections_.emplace_back(std::move(name), std::move(fn));
@@ -148,6 +222,14 @@ public:
         w.key("config");
         w.begin_object();
         for (const auto& [k, v] : flags_) w.kv(k, v);
+        if (oversubscribed_) {
+            w.key("oversubscribed");
+            w.begin_array();
+            for (unsigned t : *oversubscribed_) {
+                w.value(static_cast<std::uint64_t>(t));
+            }
+            w.end_array();
+        }
         w.end_object();
         w.kv("metrics_enabled", metrics::enabled());
         w.key("metrics");
@@ -187,6 +269,7 @@ private:
     std::string bench_;
     std::string path_;
     std::map<std::string, std::string> flags_;
+    std::optional<std::vector<unsigned>> oversubscribed_;
     std::vector<util::SeriesTable> tables_;
     std::vector<std::pair<std::string, std::function<void(json::Writer&)>>> sections_;
 };

@@ -141,6 +141,7 @@ void run_scan(const util::Cli& cli, bool ordered_fill, JsonReport& report) {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (reject_unknown_flags(cli, {"full", "sides"})) return 2;
     JsonReport report("fig3_sequential", cli);
     run_insert(cli, /*ordered=*/true, report);
     run_insert(cli, /*ordered=*/false, report);

@@ -2,7 +2,7 @@
 //
 //   ./build/bench/fig4_parallel_insert [--full] [--n=2000000] [--threads=1,2,4,8]
 //                                      [--sched=blocks|steal] [--grain=N]
-//                                      [--search=default|linear|binary|simd]
+//                                      [--search=default|linear|binary]
 //                                      [--json=FILE] [--smoke] [--fingerprints]
 //
 // --json writes the machine-readable run record (see bench/common.h);
@@ -12,8 +12,10 @@
 // contiguous partition (now on the persistent pool); `steal` cuts the insert
 // range into grain-sized chunks rebalanced by work stealing.
 // --search overrides the in-node search policy of the "btree" rows (the
-// baselines never change): the scaling counterpart of bench/ablation_search,
-// isolating the SimdSearch kernel's contribution under contention.
+// baselines never change): the scaling counterpart of bench/ablation_search.
+// (SimdSearch indexes dense scalar keys only, so it cannot run on Point.)
+// Thread counts above hardware_concurrency() still run; they are marked '*'
+// in the tables and listed under "oversubscribed" in the JSON config.
 //
 // (a) ordered, single-socket thread counts {1..16}
 // (b) random,  single-socket thread counts {1..16}
@@ -103,8 +105,6 @@ double run_our(const std::vector<Point>& pts, unsigned threads) {
             return run_one<OurBTreeWith<detail::LinearSearch, UseHints>>(pts, threads);
         case SearchMode::Binary:
             return run_one<OurBTreeWith<detail::BinarySearch, UseHints>>(pts, threads);
-        case SearchMode::Simd:
-            return run_one<OurBTreeWith<detail::SimdSearch, UseHints>>(pts, threads);
         case SearchMode::Default:
             break;
     }
@@ -114,9 +114,7 @@ double run_our(const std::vector<Point>& pts, unsigned threads) {
 void run_section(const char* title, std::size_t n, bool ordered,
                  const std::vector<unsigned>& threads, JsonReport& report) {
     util::SeriesTable table(title, "threads");
-    std::vector<std::string> xs;
-    for (unsigned t : threads) xs.push_back(std::to_string(t));
-    table.set_x(xs);
+    table.set_x(thread_labels(threads));
 
     for (unsigned t : threads) {
         const auto pts = make_input(n, ordered, t);
@@ -155,6 +153,10 @@ void run_section(const char* title, std::size_t n, bool ordered,
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (reject_unknown_flags(cli, {"full", "n", "threads", "sched", "grain",
+                                   "search", "fingerprints", "smoke"})) {
+        return 2;
+    }
     JsonReport report("fig4_parallel_insert", cli);
     const std::size_t n =
         cli.get_u64("n", cli.get_bool("full") ? 100'000'000ull : 2'000'000ull);
@@ -172,8 +174,11 @@ int main(int argc, char** argv) {
     }
     if (!parse_storage_policy(cli, g_policy)) return 2;
 
-    const auto single = cli.get_list("threads", {1, 2, 4, 8, 12, 16});
-    const auto multi = cli.get_list("threads", {1, 2, 4, 8, 12, 16, 20, 24, 28, 32});
+    const auto single = report.thread_list(cli, {1, 2, 4, 8, 12, 16});
+    const auto multi = cli.get_bool("smoke")
+                           ? std::vector<unsigned>{}
+                           : report.thread_list(
+                                 cli, {1, 2, 4, 8, 12, 16, 20, 24, 28, 32});
 
     char title[160];
     std::snprintf(title, sizeof(title),

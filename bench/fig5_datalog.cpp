@@ -7,6 +7,8 @@
 // --sched / --grain A/B the engine's parallel scheduler (persistent pool
 // with work stealing vs the seed's static blocks, runtime/scheduler.h);
 // defaults: steal, grain 64 (or DATATREE_SCHED / DATATREE_GRAIN).
+// Thread counts above hardware_concurrency() still run; they are marked '*'
+// in the tables and listed under "oversubscribed" in the JSON config.
 //
 // (a) Doop-style context-insensitive var-points-to (insertion-heavy)
 // (b) EC2-style security reachability analysis (read-heavy)
@@ -56,9 +58,7 @@ double run_engine(const Workload& w, unsigned threads) {
 void run_section(const char* title, const Workload& w,
                  const std::vector<unsigned>& threads, JsonReport& report) {
     util::SeriesTable table(title, "threads");
-    std::vector<std::string> xs;
-    for (unsigned t : threads) xs.push_back(std::to_string(t));
-    table.set_x(xs);
+    table.set_x(thread_labels(threads));
 
     auto sweep = [&]<typename Storage>(const char* name) {
         for (unsigned t : threads) table.add(name, run_engine<Storage>(w, t));
@@ -78,14 +78,19 @@ void run_section(const char* title, const Workload& w,
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (reject_unknown_flags(cli, {"full", "scale", "threads", "sched",
+                                   "grain"})) {
+        return 2;
+    }
+    JsonReport report("fig5_datalog", cli);
     const bool full = cli.get_bool("full");
     // Quick-mode scales keep the quadratic full-scan joins of the hash-based
     // engines inside a couple of minutes; raise with --scale on big machines.
     const std::size_t doop_scale = cli.get_u64("scale", full ? 20000 : 500);
     const std::size_t ec2_scale = cli.get_u64("scale", full ? 20000 : 700);
-    const auto threads =
-        cli.get_list("threads", full ? std::vector<unsigned>{1, 2, 4, 8, 16, 24, 32}
-                                     : std::vector<unsigned>{1, 2, 4, 8, 16});
+    const auto threads = report.thread_list(
+        cli, full ? std::vector<unsigned>{1, 2, 4, 8, 16, 24, 32}
+                  : std::vector<unsigned>{1, 2, 4, 8, 16});
     const std::string sched = cli.get_str("sched", "");
     if (!sched.empty() && sched != "1") {
         if (!dtree::runtime::parse_mode(sched, g_sched.mode)) {
@@ -99,7 +104,6 @@ int main(int argc, char** argv) {
     const Workload doop = make_doop_like(doop_scale, 7);
     const Workload ec2 = make_ec2_like(ec2_scale, 11);
 
-    JsonReport report("fig5_datalog", cli);
     char title[160];
     std::snprintf(title, sizeof(title),
                   "[fig 5a] var-points-to analysis (insertion heavy, scale %zu), runtime [s]",

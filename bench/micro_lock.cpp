@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "core/optimistic_lock.h"
 #include "util/spinlock.h"
 
@@ -105,6 +106,12 @@ int main(int argc, char** argv) {
     for (auto& s : args) cargs.push_back(s.data());
     int cargc = static_cast<int>(cargs.size());
     benchmark::Initialize(&cargc, cargs.data());
+    // Initialize consumed google-benchmark's own flags; any flag left over
+    // is unknown.
+    if (dtree::bench::reject_unknown_flags(
+            dtree::util::Cli(cargc, cargs.data()), {})) {
+        return 2;
+    }
     if (benchmark::ReportUnrecognizedArguments(cargc, cargs.data())) return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();

@@ -160,6 +160,10 @@ RunResult run_workload(const Workload& w, unsigned batches, unsigned jobs,
 
 int main(int argc, char** argv) {
     util::Cli cli(argc, argv);
+    if (bench::reject_unknown_flags(
+            cli, {"batches", "full", "jobs", "probes", "smoke", "workload"})) {
+        return 2;
+    }
     bench::JsonReport report("serve_ingest", cli);
 
     std::size_t tc_nodes = 220, tc_edges = 660, doop_scale = 200, ec2_scale = 70;

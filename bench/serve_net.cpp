@@ -179,6 +179,10 @@ BenchResult run_bench(const datalog::Workload& w, unsigned clients,
 
 int main(int argc, char** argv) {
     util::Cli cli(argc, argv);
+    if (bench::reject_unknown_flags(
+            cli, {"batches", "clients", "full", "jobs", "smoke"})) {
+        return 2;
+    }
     bench::JsonReport report("serve_net", cli);
 
     std::size_t nodes = 200, edges = 700;

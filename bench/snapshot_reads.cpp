@@ -125,6 +125,10 @@ CellResult run_cell(unsigned readers, unsigned writers, std::size_t prefill,
 
 int main(int argc, char** argv) {
     util::Cli cli(argc, argv);
+    if (bench::reject_unknown_flags(cli, {"full", "n", "ops", "readers", "scan",
+                                          "smoke", "writers"})) {
+        return 2;
+    }
     bench::JsonReport report("snapshot_reads", cli);
 
     std::size_t prefill = 200000, ops = 100000;

@@ -65,6 +65,13 @@ void print_row(const char* name, double a, double b) {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (dtree::bench::reject_unknown_flags(
+            cli, {"full", "scale", "search", "fingerprints"})) {
+        return 2;
+    }
+    dtree::bench::JsonReport report("table2_stats", cli);
+    // measure() evaluates each workload at 1 and at 16 threads.
+    report.note_threads({1, 16});
     const bool full = cli.get_bool("full");
     const std::size_t scale = cli.get_u64("scale", full ? 20000 : 1200);
     if (!dtree::bench::parse_storage_policy(cli, g_policy)) return 2;
@@ -104,8 +111,9 @@ int main(int argc, char** argv) {
     std::printf("\n=== [sec 4.3] operation hint hit rates ===\n\n");
     std::printf("%-22s %17.1f%% %17.1f%%\n", "1 thread", 100.0 * d.hint_rate_1t,
                 100.0 * e.hint_rate_1t);
-    std::printf("%-22s %17.1f%% %17.1f%%\n", "16 threads", 100.0 * d.hint_rate_16t,
-                100.0 * e.hint_rate_16t);
+    std::printf("%-22s %17.1f%% %17.1f%%\n",
+                (dtree::bench::thread_label(16) + " threads").c_str(),
+                100.0 * d.hint_rate_16t, 100.0 * e.hint_rate_16t);
     std::printf("\n(paper: Doop 54%%/52%%, EC2 77%%/76%%; the EC2-like class must show\n"
                 "the higher rate of the two)\n");
 
@@ -116,7 +124,6 @@ int main(int argc, char** argv) {
         dtree::fail::report(std::cout);
     }
 
-    dtree::bench::JsonReport report("table2_stats", cli);
     auto workload_section = [](const Row& r) {
         return [&r](dtree::json::Writer& w) {
             w.begin_object();

@@ -62,9 +62,11 @@ struct OurTree {
 
 int main(int argc, char** argv) {
     dtree::util::Cli cli(argc, argv);
+    if (reject_unknown_flags(cli, {"full", "n", "threads"})) return 2;
+    JsonReport report("table3_trees", cli);
     const std::size_t n =
         cli.get_u64("n", cli.get_bool("full") ? 10'000'000ull : 1'000'000ull);
-    const auto threads = cli.get_list("threads", {1, 2, 4, 8});
+    const auto threads = report.thread_list(cli, {1, 2, 4, 8});
 
     std::printf("=== [table 3] throughput inserting %zu 32-bit integers "
                 "(ordered/random) [10^6 elements/second] ===\n\n",
@@ -105,9 +107,10 @@ int main(int argc, char** argv) {
                     if (b.size() != n) std::fprintf(stderr, "BUG: bslack lost keys\n");
                 });
         }
-        std::printf("%8u %10.2f/%-9.2f %10.2f/%-9.2f %10.2f/%-9.2f %10.2f/%-9.2f\n", t,
-                    results[0][0], results[0][1], results[1][0], results[1][1],
-                    results[2][0], results[2][1], results[3][0], results[3][1]);
+        std::printf("%8s %10.2f/%-9.2f %10.2f/%-9.2f %10.2f/%-9.2f %10.2f/%-9.2f\n",
+                    thread_label(t).c_str(), results[0][0], results[0][1],
+                    results[1][0], results[1][1], results[2][0], results[2][1],
+                    results[3][0], results[3][1]);
         Record rec;
         rec.threads = t;
         for (int i = 0; i < 4; ++i) {
@@ -119,7 +122,6 @@ int main(int argc, char** argv) {
     std::printf("\n(paper, 10^7 keys: B-tree 17.5/2.91 .. 97.19/16.97; PALM ~0.4 flat;\n"
                 " Masstree 5.99/1.90 .. 36.38/11.41; B-slack 2.73/1.09 .. 11.29/4.84)\n");
 
-    JsonReport report("table3_trees", cli);
     report.add_section("results", [&](json::Writer& w) {
         static const char* tree_names[4] = {"btree", "palm", "masstree", "bslack"};
         w.begin_array();

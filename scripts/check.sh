@@ -35,7 +35,7 @@ CONC_TARGETS=(torture_btree_test optimistic_lock_test btree_concurrent_test
               btree_bulk_merge_test btree_search_test btree_snapshot_test
               datalog_ingest_test net_server_test btree_zipf_test)
 # ctest -R filter matching exactly the tests those targets register.
-CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SimdLane|ColumnCache|SearchMetrics|Snapshot|Ingest|NetServer|Zipf'
+CONC_FILTER='Torture|OptimisticLock|AbortWrite|Concurrent|SmallNode|Hint|Scheduler|BulkMerge|FromSorted|SampleSeparators|SearchEquivalence|SimdLane|SearchMetrics|Snapshot|Ingest|NetServer|Zipf'
 # The TSan leg doubles as the scalar-fallback proof for SimdSearch: TSan
 # builds force DTREE_SIMD_VECTOR off (src/core/race_access.h), so the same
 # equivalence + torture tests run the branch-free Access::load column scan

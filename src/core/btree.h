@@ -53,7 +53,8 @@ namespace detail {
 /// Tree-level snapshot/epoch state (DESIGN.md §11), attached to the btree
 /// through [[no_unique_address]] and specialised to an empty struct for
 /// non-snapshot trees so the paper-faithful configuration stays bit-identical
-/// in layout and behaviour (the PR-5 column-store pattern).
+/// in layout and behaviour (the same empty-member pattern as the node's
+/// SnapState / FpState).
 template <typename NodeT, bool Concurrent, bool Present>
 struct SnapTreeState {
     /// One entry per *root replacement*: `root` is the PREVIOUS root pointer
@@ -108,10 +109,8 @@ template <typename Key,
           bool AllowDuplicates = false,
           bool WithSnapshots = false,
           bool WithFingerprints = false,
-          typename Alloc = NewDeleteNodeAlloc<
-              Key, BlockSize, Access,
-              detail::search_wants_column<Search>(), WithSnapshots,
-              WithFingerprints>>
+          typename Alloc = NewDeleteNodeAlloc<Key, BlockSize, Access,
+                                              WithSnapshots, WithFingerprints>>
 class btree {
     static_assert(BlockSize >= 3, "nodes must hold at least three keys");
     static_assert(!WithFingerprints ||
@@ -121,22 +120,16 @@ class btree {
                   "Tuple<Arity>)");
     static_assert(detail::search_policy_viable<Search, Key, Compare>(),
                   "the configured Search policy cannot index this (Key, "
-                  "Compare) pair: SimdSearch needs a key with an arithmetic "
-                  "first column (first_column<Key>::available) AND a "
-                  "comparator ordered by that column "
+                  "Compare) pair: SimdSearch needs a dense scalar key (a "
+                  "scalar or Tuple<1>) AND a comparator ordered by it "
                   "(comparator_respects_first_column<Compare, Key>, "
                   "core/comparator.h). Use LinearSearch/BinarySearch, or "
                   "specialise the traits for your key/comparator.");
 
-    /// Nodes carry the SoA column cache only when the search policy reads it
-    /// (SimdSearch); Linear/Binary trees keep the bare pre-column layout and
-    /// pay zero maintenance.
-    static constexpr bool with_column = detail::search_wants_column<Search>();
-
-    using NodeT = detail::Node<Key, BlockSize, Access, with_column,
-                               WithSnapshots, WithFingerprints>;
-    using InnerT = detail::InnerNode<Key, BlockSize, Access, with_column,
-                                     WithSnapshots, WithFingerprints>;
+    using NodeT =
+        detail::Node<Key, BlockSize, Access, WithSnapshots, WithFingerprints>;
+    using InnerT = detail::InnerNode<Key, BlockSize, Access, WithSnapshots,
+                                     WithFingerprints>;
     using Lease = OptimisticReadWriteLock::Lease;
     static constexpr bool concurrent = Access::concurrent;
     using ImageT = typename NodeT::SnapImageT;
@@ -149,7 +142,7 @@ class btree {
     static_assert(!WithSnapshots ||
                       std::is_same_v<Alloc, NewDeleteNodeAlloc<
                                                 Key, BlockSize, Access,
-                                                with_column, WithSnapshots,
+                                                WithSnapshots,
                                                 WithFingerprints>>,
                   "snapshot-enabled trees require the default new/delete "
                   "node allocator");
@@ -158,7 +151,7 @@ public:
     using key_type = Key;
     using value_type = Key;
     using const_iterator =
-        detail::Iterator<Key, BlockSize, Access, with_column, WithSnapshots,
+        detail::Iterator<Key, BlockSize, Access, WithSnapshots,
                          WithFingerprints, Compare>;
     using iterator = const_iterator; // keys are immutable once stored
     static constexpr unsigned block_size = BlockSize;
@@ -316,7 +309,6 @@ public:
                         first = *next;
                         break;
                     }
-                    DTREE_METRIC_INC(btree_restarts);
                 }
             } else {
                 first = bulk_segment_seq(first, last, hints, inserted);
@@ -485,7 +477,6 @@ public:
         }
         for (;;) {
             if (const auto r = contains_descent(k, hints)) return *r;
-            DTREE_METRIC_INC(btree_restarts);
         }
     }
 
@@ -555,7 +546,7 @@ public:
             }
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<Access>(cur, pos, n, k);
+            detail::prefetch_tie_sibling<Search, Access>(cur, pos, n, k);
             cur = next;
         }
     }
@@ -625,7 +616,7 @@ public:
             if (pos < n) best = make_iter(cur, pos);
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<Access>(cur, pos, n, k);
+            detail::prefetch_tie_sibling<Search, Access>(cur, pos, n, k);
             cur = next;
         }
     }
@@ -684,7 +675,7 @@ public:
             if (pos < n) best = make_iter(cur, pos);
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<Access>(cur, pos, n, k);
+            detail::prefetch_tie_sibling<Search, Access>(cur, pos, n, k);
             cur = next;
         }
     }
@@ -1251,7 +1242,7 @@ private:
             if (!cur->inner) break;
             NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<SeqAccess>(
+            detail::prefetch_tie_sibling<Search, SeqAccess>(
                 const_cast<const NodeT*>(cur), pos, n, k);
             cur = next;
         }
@@ -1336,8 +1327,27 @@ private:
         for (;;) {
             const std::optional<bool> done = try_insert_from_root(k, hints);
             if (done) return *done;
-            DTREE_METRIC_INC(btree_restarts);
         }
+    }
+
+    /// End of the root-lease read that starts a validated descent; a failed
+    /// validation re-reads the root and counts as btree_restarts.
+    bool root_lease_valid(Lease root_lease) const {
+        if (root_lock_.end_read(root_lease)) return true;
+        DTREE_METRIC_INC(btree_restarts);
+        return false;
+    }
+
+    /// The nullopt of a descent abandoned because n's lease failed
+    /// validation: btree_restarts for an inner node, btree_leaf_retries for a
+    /// leaf (a lost leaf lease is a conflict like a lost upgrade).
+    static std::nullopt_t lost_lease(const NodeT* n) {
+        if (n->inner) {
+            DTREE_METRIC_INC(btree_restarts);
+        } else {
+            DTREE_METRIC_INC(btree_leaf_retries);
+        }
+        return std::nullopt;
     }
 
     /// One full optimistic descent attempt; nullopt means "conflict detected,
@@ -1352,7 +1362,7 @@ private:
             // so a freshly published root must be visible fully constructed.
             cur = root_.load_acquire();
             cur_lease = cur->lock.start_read();
-        } while (!root_lock_.end_read(root_lease));
+        } while (!root_lease_valid(root_lease));
 
         // Descend (lines 20-33).
         for (;;) {
@@ -1373,27 +1383,27 @@ private:
             if constexpr (!AllowDuplicates) {
                 // Early containment check (line 22).
                 if (pos < n && comp_.equal(Access::load(cur->keys[pos]), k)) {
-                    if (!cur->lock.validate(cur_lease)) return std::nullopt;
+                    if (!cur->lock.validate(cur_lease)) return lost_lease(cur);
                     if (!cur->inner) hints.set(HintKind::Insert, cur);
                     return false;
                 }
             }
             if (cur->inner) {
                 NodeT* next = cur->as_inner()->children[pos].load();
-                // Prefetch the chosen child (and, on a first-column tie, the
+                // Prefetch the chosen child (and, on a separator tie, the
                 // adjacent candidate) BEFORE the parent's lease validates:
                 // the miss overlaps the validation fence + child lease
                 // acquisition below, and prefetching a pointer a failed
                 // validation is about to reject is harmless (nodes are never
                 // freed while the tree lives).
                 detail::prefetch_node(next);
-                detail::prefetch_tie_sibling<Access>(
+                detail::prefetch_tie_sibling<Search, Access>(
                     const_cast<const NodeT*>(cur), pos, n, k);
                 // Validate before dereferencing the child pointer: only a
                 // committed pointer is guaranteed to reference a node.
-                if (!cur->lock.validate(cur_lease)) return std::nullopt;
+                if (!cur->lock.validate(cur_lease)) return lost_lease(cur);
                 const Lease next_lease = next->lock.start_read();
-                if (!cur->lock.validate(cur_lease)) return std::nullopt;
+                if (!cur->lock.validate(cur_lease)) return lost_lease(cur);
                 cur = next;
                 cur_lease = next_lease;
                 continue;
@@ -1628,7 +1638,7 @@ private:
         }
         const unsigned moved = BlockSize - mid - 1;
         for (unsigned i = 0; i < moved; ++i) {
-            // Sibling unpublished: plain stores (column mirrored alongside).
+            // Sibling unpublished: plain stores (fingerprints alongside).
             sibling->template key_copy_from<SeqAccess>(i, *node, mid + 1 + i);
         }
         if (node->inner) {
@@ -1916,7 +1926,7 @@ private:
             root_lease = root_lock_.start_read();
             cur = root_.load_acquire();
             cur_lease = cur->lock.start_read();
-        } while (!root_lock_.end_read(root_lease));
+        } while (!root_lease_valid(root_lease));
 
         const Key k = *first;
         Key hi{};
@@ -1938,13 +1948,13 @@ private:
                 // As in the point-insert descent: start the child's miss
                 // before the validation fence below.
                 detail::prefetch_node(next);
-                if (!cur->lock.validate(cur_lease)) return std::nullopt;
+                if (!cur->lock.validate(cur_lease)) return lost_lease(cur);
                 if (cand) {
                     hi = hi_cand;
                     has_hi = true;
                 }
                 const Lease next_lease = next->lock.start_read();
-                if (!cur->lock.validate(cur_lease)) return std::nullopt;
+                if (!cur->lock.validate(cur_lease)) return lost_lease(cur);
                 cur = next;
                 cur_lease = next_lease;
                 continue;
@@ -2293,7 +2303,7 @@ private:
             cur = root_.load_acquire();
             if (!cur) return false; // tree never shrinks; defensive only
             cur_lease = cur->lock.start_read();
-        } while (!root_lock_.end_read(root_lease));
+        } while (!root_lease_valid(root_lease));
         for (;;) {
             const unsigned n = cur->num_elements.load();
             if (!cur->inner) return leaf_membership(cur, cur_lease, k, hints);
@@ -2303,15 +2313,15 @@ private:
             const unsigned pos =
                 detail::node_lower<Search, Access>(cur, n, k, comp_);
             if (pos < n && comp_.equal(Access::load(cur->keys[pos]), k)) {
-                if (!cur->lock.validate(cur_lease)) return std::nullopt;
+                if (!cur->lock.validate(cur_lease)) return lost_lease(cur);
                 return true;
             }
             const NodeT* next = cur->as_inner()->children[pos].load();
             detail::prefetch_node(next);
-            detail::prefetch_tie_sibling<Access>(cur, pos, n, k);
-            if (!cur->lock.validate(cur_lease)) return std::nullopt;
+            detail::prefetch_tie_sibling<Search, Access>(cur, pos, n, k);
+            if (!cur->lock.validate(cur_lease)) return lost_lease(cur);
             const Lease next_lease = next->lock.start_read();
-            if (!cur->lock.validate(cur_lease)) return std::nullopt;
+            if (!cur->lock.validate(cur_lease)) return lost_lease(cur);
             cur = next;
             cur_lease = next_lease;
         }
@@ -2319,7 +2329,7 @@ private:
 
     /// In-node search position: lower bound for sets (duplicates rejected),
     /// upper bound for multisets (duplicates cluster to the right). Funnels
-    /// through the node-aware dispatch so SimdSearch sees the column cache.
+    /// through the node-aware dispatch so SimdSearch sees the node kind.
     unsigned search_pos(const NodeT* node, unsigned n, const Key& k) const {
         if constexpr (AllowDuplicates) {
             return detail::node_upper<Search, SeqAccess>(node, n, k, comp_);
@@ -2432,7 +2442,6 @@ private:
         const unsigned cnt = n->num_elements.load();
         if (cnt == 0) return "empty node";
         if (cnt > BlockSize) return "over-full node";
-        if (!n->column_in_sync()) return "first-column cache out of sync";
         // Every non-root node was produced by a median split and can only
         // have grown since: minimum fill is BlockSize/2 - 1.
         if (n->parent.load() != nullptr && cnt + 1 < BlockSize / 2) {
@@ -2583,16 +2592,14 @@ template <typename Key, typename Compare = ThreeWayComparator<Key>,
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using arena_btree_set =
     btree<Key, Compare, BlockSize, Search, ConcurrentAccess, false, false, false,
-          ArenaNodeAlloc<Key, BlockSize, ConcurrentAccess,
-                         detail::search_wants_column<Search>()>>;
+          ArenaNodeAlloc<Key, BlockSize, ConcurrentAccess>>;
 
 template <typename Key, typename Compare = ThreeWayComparator<Key>,
           unsigned BlockSize = detail::default_block_size<Key>(),
           typename Search = detail::DefaultSearch<Key, Compare, BlockSize>>
 using arena_seq_btree_set =
     btree<Key, Compare, BlockSize, Search, SeqAccess, false, false, false,
-          ArenaNodeAlloc<Key, BlockSize, SeqAccess,
-                         detail::search_wants_column<Search>()>>;
+          ArenaNodeAlloc<Key, BlockSize, SeqAccess>>;
 
 /// Snapshot-enabled variants (DESIGN.md §11): the same tree plus the
 /// epoch/Snapshot API. The plain aliases above stay bit-identical to the

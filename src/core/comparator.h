@@ -53,8 +53,8 @@ struct ThreeWayComparator<Tuple<Arity, T>> {
 /// True iff `Comp` orders keys consistently with ascending order of their
 /// first column (first_column<Key>, core/tuple.h): whenever
 /// extract(a) < extract(b), comp(a, b) < 0, and keys comparing equal have
-/// equal first columns. SimdSearch's column-cache prefilter is only sound
-/// under a comparator with this property, so DefaultSearch consults it and
+/// equal first columns. SimdSearch's column scan is only sound under a
+/// comparator with this property, so DefaultSearch consults it and
 /// the btree static_asserts it for explicitly-configured SimdSearch. The
 /// default lexicographic ThreeWayComparator qualifies; custom orderings
 /// (LessToThreeWay, reversed/permuted comparators) must opt in by

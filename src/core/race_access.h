@@ -93,9 +93,9 @@ struct SeqAccess {
 // ---------------------------------------------------------------------------
 //
 // The SIMD search kernel (core/btree_detail.h, DESIGN.md §10) reads the
-// inner nodes' first/second-column caches (wide tuples) — and, for pair
-// keys, the node's AoS key array itself, both kinds (the interleaved pair
-// kernel) — with *plain* 256-bit vector loads, NOT through the per-element atomic_ref discipline above. That is a deliberate, documented
+// key array of a dense scalar key node (scalars, Tuple<1>) with *plain*
+// 256-bit vector loads, NOT through the per-element atomic_ref discipline
+// above. That is a deliberate, documented
 // exception to the Boehm-style rules, and it is sound for the same reason
 // the rules exist at all:
 //

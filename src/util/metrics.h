@@ -51,7 +51,8 @@ enum class Counter : unsigned {
     btree_leaf_retries,       ///< leaf writes abandoned on a lost lease or
                               ///< upgrade (conflicts only; Alg. 1 restart)
     btree_split_restarts,     ///< inserts restarted after splitting a full leaf
-    btree_restarts,           ///< full descents abandoned on a stale lease
+    btree_restarts,           ///< descents restarted because the root lock's
+                              ///< or an inner node's lease failed validation
     btree_leaf_splits,        ///< leaf-level node splits
     btree_inner_splits,       ///< inner-node splits (incl. recursive)
     btree_root_replacements,  ///< tree grew a level (new root published)
@@ -59,8 +60,8 @@ enum class Counter : unsigned {
     btree_bulk_keys,          ///< keys consumed by bulk leaf fills (incl. dups)
     // core/btree_detail.h (SimdSearch, DESIGN.md §10)
     search_simd_probes,       ///< in-node searches answered by the vector kernel
-    search_scalar_fallbacks,  ///< probes that consulted the full-key comparator
-                              ///< (tie range) or ran entirely scalar
+    search_scalar_fallbacks,  ///< SimdSearch probes that ran the scalar column
+                              ///< scan (TSan, non-AVX2 host, non-int column)
     // core/node_allocator.h
     alloc_leaf_nodes,  ///< leaf nodes allocated (any policy)
     alloc_inner_nodes, ///< inner nodes allocated (any policy)

@@ -1,12 +1,12 @@
-// Search-policy equivalence suite (DESIGN.md §10): SimdSearch must be
-// observationally identical to LinearSearch and BinarySearch — same
-// lower_bound / upper_bound / contains answers, same iteration order — on
-// sets and multisets, across tiny and default block sizes, under key
-// distributions with heavy first-column duplication (the tie-range fallback
-// path). Also pins the SIMD lane-width boundaries (partial final vector,
-// exactly-one-vector, vector+scalar-tail node fills) against the scalar
-// kernel on a standalone node, and checks the SoA first-column cache stays
-// coherent through splits and insert_sorted_run.
+// Search-policy equivalence suite (DESIGN.md §10): BinarySearch and, for
+// dense scalar keys, SimdSearch must be observationally identical to
+// LinearSearch — same lower_bound / upper_bound / contains answers, same
+// iteration order — on sets and multisets, across tiny and default block
+// sizes, on tuple keys with heavy first-column duplication and on scalar
+// keys crossing the sign bit. Also pins the SIMD lane-width boundaries
+// (partial final vector, exactly-one-vector, vector+scalar-tail node fills)
+// against the scalar kernel on a standalone node, and which policy
+// DefaultSearch picks per key shape.
 //
 // The Fp* tests extend the same equivalence contract to leaf layout v2
 // (WithFingerprints, DESIGN.md §15): fingerprint membership + append-zone
@@ -42,7 +42,7 @@ namespace detail = dtree::detail;
 using Point = Tuple<2>;
 
 /// Key mix with heavy first-column duplication: ~16 tuples share each first
-/// column, so SimdSearch's tie-range comparator fallback runs constantly.
+/// column, so in-node searches constantly resolve on the second element.
 std::vector<Point> tie_heavy_points(std::size_t n, unsigned seed) {
     std::vector<Point> pts;
     pts.reserve(n);
@@ -71,43 +71,37 @@ std::vector<std::uint64_t> scalar_keys(std::size_t n, unsigned seed) {
 // Cross-policy equivalence on full trees
 // ---------------------------------------------------------------------------
 
-/// Instantiates the tree with each policy, applies the same inserts, and
-/// compares every probe's lower_bound/upper_bound/contains answer *by value*
-/// plus the full iteration order byte-for-byte.
-template <typename Key, unsigned BlockSize, bool Multi>
-void check_policy_equivalence(const std::vector<Key>& keys,
-                              const std::vector<Key>& probes) {
+/// Applies the same inserts to a LinearSearch v1 reference tree and to
+/// `Tree`, and demands identical observable behaviour: insert verdicts,
+/// sizes, byte-identical iteration, every probe's contains / lower_bound /
+/// upper_bound answer by value, contains ≡ (find != end) on both trees, and
+/// multiset duplicate-run widths.
+template <typename Tree>
+void check_against_linear(const std::vector<typename Tree::key_type>& keys,
+                          const std::vector<typename Tree::key_type>& probes) {
+    using Key = typename Tree::key_type;
     using C = ThreeWayComparator<Key>;
-    using Lin = dtree::btree<Key, C, BlockSize, detail::LinearSearch,
+    constexpr bool Multi = Tree::allow_duplicates;
+    using Ref = dtree::btree<Key, C, Tree::block_size, detail::LinearSearch,
                              dtree::ConcurrentAccess, Multi>;
-    using Bin = dtree::btree<Key, C, BlockSize, detail::BinarySearch,
-                             dtree::ConcurrentAccess, Multi>;
-    using Simd = dtree::btree<Key, C, BlockSize, detail::SimdSearch,
-                              dtree::ConcurrentAccess, Multi>;
-    Lin lin;
-    Bin bin;
-    Simd simd;
-    auto hl = lin.create_hints();
-    auto hb = bin.create_hints();
-    auto hs = simd.create_hints();
+    Ref ref;
+    Tree t;
+    auto hr = ref.create_hints();
+    auto ht = t.create_hints();
     for (const auto& k : keys) {
-        const bool rl = lin.insert(k, hl);
-        const bool rb = bin.insert(k, hb);
-        const bool rs = simd.insert(k, hs);
-        ASSERT_EQ(rl, rs);
-        ASSERT_EQ(rb, rs);
+        const bool rr = ref.insert(k, hr);
+        const bool rt = t.insert(k, ht);
+        ASSERT_EQ(rr, rt);
     }
-    ASSERT_TRUE(lin.check_invariants().empty()) << lin.check_invariants();
-    ASSERT_TRUE(simd.check_invariants().empty()) << simd.check_invariants();
-    ASSERT_EQ(lin.size(), simd.size());
-    ASSERT_EQ(bin.size(), simd.size());
+    ASSERT_TRUE(ref.check_invariants().empty()) << ref.check_invariants();
+    ASSERT_TRUE(t.check_invariants().empty()) << t.check_invariants();
+    ASSERT_EQ(ref.size(), t.size());
 
-    // Iteration order must be byte-identical across policies.
-    std::vector<Key> seq_lin(lin.begin(), lin.end());
-    std::vector<Key> seq_bin(bin.begin(), bin.end());
-    std::vector<Key> seq_simd(simd.begin(), simd.end());
-    ASSERT_EQ(seq_lin, seq_simd);
-    ASSERT_EQ(seq_bin, seq_simd);
+    // Iteration order must be byte-identical — also for v2's physically
+    // unsorted leaves.
+    std::vector<Key> seq_ref(ref.begin(), ref.end());
+    std::vector<Key> seq_t(t.begin(), t.end());
+    ASSERT_EQ(seq_ref, seq_t);
 
     C comp;
     auto value_at = [&](const auto& tree, auto it) {
@@ -115,30 +109,48 @@ void check_policy_equivalence(const std::vector<Key>& keys,
     };
     for (const auto& p : probes) {
         SCOPED_TRACE(::testing::Message() << "probe " << p);
-        ASSERT_EQ(lin.contains(p, hl), simd.contains(p, hs));
-        ASSERT_EQ(bin.contains(p, hb), simd.contains(p, hs));
-        ASSERT_EQ(value_at(lin, lin.lower_bound(p, hl)),
-                  value_at(simd, simd.lower_bound(p, hs)));
-        ASSERT_EQ(value_at(bin, bin.lower_bound(p, hb)),
-                  value_at(simd, simd.lower_bound(p, hs)));
-        ASSERT_EQ(value_at(lin, lin.upper_bound(p, hl)),
-                  value_at(simd, simd.upper_bound(p, hs)));
-        ASSERT_EQ(value_at(bin, bin.upper_bound(p, hb)),
-                  value_at(simd, simd.upper_bound(p, hs)));
+        const bool hit = ref.contains(p, hr);
+        ASSERT_EQ(hit, t.contains(p, ht));
+        // The first-class contains() fast path must agree with the iterator
+        // answer on both trees (the Relation/LocalView routing contract).
+        ASSERT_EQ(hit, ref.find(p, hr) != ref.end());
+        ASSERT_EQ(hit, t.find(p, ht) != t.end());
+        ASSERT_EQ(value_at(ref, ref.lower_bound(p, hr)),
+                  value_at(t, t.lower_bound(p, ht)));
+        ASSERT_EQ(value_at(ref, ref.upper_bound(p, hr)),
+                  value_at(t, t.upper_bound(p, ht)));
         // Duplicate-run boundaries: a multiset lower_bound must land on the
         // FIRST duplicate, so the distance to upper_bound equals the
-        // multiplicity under every policy.
+        // multiplicity under every configuration.
         if constexpr (Multi) {
-            const auto dl = std::distance(lin.lower_bound(p, hl),
-                                          lin.upper_bound(p, hl));
-            const auto ds = std::distance(simd.lower_bound(p, hs),
-                                          simd.upper_bound(p, hs));
-            ASSERT_EQ(dl, ds);
+            const auto dr = std::distance(ref.lower_bound(p, hr),
+                                          ref.upper_bound(p, hr));
+            const auto dt = std::distance(t.lower_bound(p, ht),
+                                          t.upper_bound(p, ht));
+            ASSERT_EQ(dr, dt);
             const auto expect = std::count_if(
-                seq_simd.begin(), seq_simd.end(),
+                seq_ref.begin(), seq_ref.end(),
                 [&](const Key& k) { return comp.equal(k, p); });
-            ASSERT_EQ(ds, expect);
+            ASSERT_EQ(dt, expect);
         }
+    }
+}
+
+template <typename Key, unsigned BlockSize, bool Multi, typename Search>
+using PolicyTree = dtree::btree<Key, ThreeWayComparator<Key>, BlockSize,
+                                Search, dtree::ConcurrentAccess, Multi>;
+
+/// Every in-node search policy that can index Key answers like LinearSearch:
+/// BinarySearch always, SimdSearch for dense scalar keys.
+template <typename Key, unsigned BlockSize, bool Multi>
+void check_policy_equivalence(const std::vector<Key>& keys,
+                              const std::vector<Key>& probes) {
+    check_against_linear<
+        PolicyTree<Key, BlockSize, Multi, detail::BinarySearch>>(keys, probes);
+    if constexpr (detail::SimdSearch::viable<Key, ThreeWayComparator<Key>>) {
+        check_against_linear<
+            PolicyTree<Key, BlockSize, Multi, detail::SimdSearch>>(keys,
+                                                                   probes);
     }
 }
 
@@ -225,7 +237,6 @@ void check_node_boundaries(unsigned n, const std::vector<Key>& sorted_keys) {
         node.template key_store<dtree::SeqAccess>(i, sorted_keys[i]);
     }
     node.num_elements.store(n);
-    ASSERT_TRUE(node.column_in_sync());
 
     ThreeWayComparator<Key> comp;
     std::vector<Key> probes(sorted_keys.begin(), sorted_keys.begin() + n);
@@ -255,120 +266,26 @@ TEST(SimdLaneBoundaries, ScalarU64) {
     }
 }
 
-TEST(SimdLaneBoundaries, TupleWithTies) {
-    std::vector<Point> keys;
-    // First columns repeat in pairs: every probe lands in a tie range.
-    for (unsigned i = 0; i < 24; ++i) keys.push_back(Point{i / 2, i % 2});
-    for (unsigned n : {1u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u}) {
-        check_node_boundaries<Point, 24>(n, keys);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Column-cache coherence through structural churn
-// ---------------------------------------------------------------------------
-
-TEST(ColumnCache, CoherentAfterPointInsertSplits) {
-    // BlockSize 3 maximises split frequency; check_invariants verifies
-    // col_[i] == keys[i][0] on every node.
-    dtree::btree_set<Point, ThreeWayComparator<Point>, 3, detail::SimdSearch> t;
-    auto h = t.create_hints();
-    for (const auto& p : tie_heavy_points(3000, 6)) t.insert(p, h);
-    EXPECT_TRUE(t.check_invariants().empty()) << t.check_invariants();
-}
-
-TEST(ColumnCache, CoherentAfterSortedRunAndFromSorted) {
-    auto pts = tie_heavy_points(5000, 7);
-    std::sort(pts.begin(), pts.end());
-    pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
-
-    using Tree =
-        dtree::btree_set<Point, ThreeWayComparator<Point>, 4, detail::SimdSearch>;
-    auto packed = Tree::from_sorted(pts.begin(), pts.end());
-    EXPECT_TRUE(packed.check_invariants().empty()) << packed.check_invariants();
-    EXPECT_EQ(packed.size(), pts.size());
-
-    Tree merged;
-    auto h = merged.create_hints();
-    // Seed with every other key, then bulk-merge the full run on top so
-    // leaf_fill_sorted exercises both fresh fills and in-place merges.
-    for (std::size_t i = 0; i < pts.size(); i += 2) merged.insert(pts[i], h);
-    const std::size_t fresh = merged.insert_sorted_run(pts.begin(), pts.end(), h);
-    EXPECT_EQ(fresh, pts.size() - (pts.size() + 1) / 2);
-    EXPECT_TRUE(merged.check_invariants().empty()) << merged.check_invariants();
-    EXPECT_TRUE(std::equal(merged.begin(), merged.end(), pts.begin(), pts.end()));
-}
-
 // ---------------------------------------------------------------------------
 // Leaf layout v2 equivalence (WithFingerprints, DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-/// The v2 tree under test: fingerprint leaves on top of the SimdSearch
-/// kernel (the configuration `--fingerprints` selects everywhere).
+/// The v2 tree under test: fingerprint leaves on top of SimdSearch where
+/// the key is a dense scalar, else on the default search.
 template <typename Key, unsigned BlockSize, bool Multi>
-using FpTree = dtree::btree<Key, ThreeWayComparator<Key>, BlockSize,
-                            detail::SimdSearch, dtree::ConcurrentAccess, Multi,
-                            /*WithSnapshots=*/false,
-                            /*WithFingerprints=*/true>;
+using FpTree = dtree::btree<
+    Key, ThreeWayComparator<Key>, BlockSize,
+    std::conditional_t<
+        detail::SimdSearch::viable<Key, ThreeWayComparator<Key>>,
+        detail::SimdSearch,
+        detail::DefaultSearch<Key, ThreeWayComparator<Key>, BlockSize>>,
+    dtree::ConcurrentAccess, Multi, /*WithSnapshots=*/false,
+    /*WithFingerprints=*/true>;
 
-/// Applies the same inserts to a v1 reference tree and a v2 fingerprint tree
-/// and demands identical observable behaviour: insert verdicts, sizes,
-/// byte-identical iteration, every probe's contains / lower_bound /
-/// upper_bound answer, contains ≡ (find != end) on BOTH trees, and multiset
-/// duplicate-run widths.
 template <typename Key, unsigned BlockSize, bool Multi>
 void check_fp_equivalence(const std::vector<Key>& keys,
                           const std::vector<Key>& probes) {
-    using C = ThreeWayComparator<Key>;
-    using Ref = dtree::btree<Key, C, BlockSize, detail::LinearSearch,
-                             dtree::ConcurrentAccess, Multi>;
-    using Fp = FpTree<Key, BlockSize, Multi>;
-    Ref ref;
-    Fp fp;
-    auto hr = ref.create_hints();
-    auto hf = fp.create_hints();
-    for (const auto& k : keys) {
-        const bool rr = ref.insert(k, hr);
-        const bool rf = fp.insert(k, hf);
-        ASSERT_EQ(rr, rf);
-    }
-    ASSERT_TRUE(fp.check_invariants().empty()) << fp.check_invariants();
-    ASSERT_EQ(ref.size(), fp.size());
-
-    // v2's physically unsorted leaves must still ITERATE in sorted order,
-    // byte-identical to the v1 layout.
-    std::vector<Key> seq_ref(ref.begin(), ref.end());
-    std::vector<Key> seq_fp(fp.begin(), fp.end());
-    ASSERT_EQ(seq_ref, seq_fp);
-
-    C comp;
-    auto value_at = [&](const auto& tree, auto it) {
-        return it == tree.end() ? std::optional<Key>{} : std::optional<Key>{*it};
-    };
-    for (const auto& p : probes) {
-        SCOPED_TRACE(::testing::Message() << "probe " << p);
-        const bool hit = ref.contains(p, hr);
-        ASSERT_EQ(hit, fp.contains(p, hf));
-        // The first-class contains() fast path must agree with the iterator
-        // answer on both layouts (the Relation/LocalView routing contract).
-        ASSERT_EQ(hit, ref.find(p, hr) != ref.end());
-        ASSERT_EQ(hit, fp.find(p, hf) != fp.end());
-        ASSERT_EQ(value_at(ref, ref.lower_bound(p, hr)),
-                  value_at(fp, fp.lower_bound(p, hf)));
-        ASSERT_EQ(value_at(ref, ref.upper_bound(p, hr)),
-                  value_at(fp, fp.upper_bound(p, hf)));
-        if constexpr (Multi) {
-            const auto dr = std::distance(ref.lower_bound(p, hr),
-                                          ref.upper_bound(p, hr));
-            const auto df = std::distance(fp.lower_bound(p, hf),
-                                          fp.upper_bound(p, hf));
-            ASSERT_EQ(dr, df);
-            const auto expect = std::count_if(
-                seq_ref.begin(), seq_ref.end(),
-                [&](const Key& k) { return comp.equal(k, p); });
-            ASSERT_EQ(df, expect);
-        }
-    }
+    check_against_linear<FpTree<Key, BlockSize, Multi>>(keys, probes);
 }
 
 TEST(SearchEquivalence, FpTupleSetTinyBlocks) {
@@ -543,34 +460,36 @@ TEST(SearchEquivalence, FpCollisionAdversarialTuple) {
 // Metrics: the vector kernel actually runs where supported
 // ---------------------------------------------------------------------------
 
+// SimdSearch indexes dense scalar keys only; DefaultSearch picks it for
+// them at >= 256 B of keys per node and keeps tuple keys on the early-exit
+// linear scan up to 768 B of keys, binary search beyond.
+static_assert(detail::SimdSearch::viable<std::uint64_t,
+                                         ThreeWayComparator<std::uint64_t>>);
+static_assert(
+    detail::SimdSearch::viable<Tuple<1>, ThreeWayComparator<Tuple<1>>>);
+static_assert(!detail::search_policy_viable<detail::SimdSearch, Point,
+                                            ThreeWayComparator<Point>>());
+static_assert(!detail::search_policy_viable<detail::SimdSearch, Tuple<4>,
+                                            ThreeWayComparator<Tuple<4>>>());
+static_assert(std::is_same_v<detail::DefaultSearch<std::uint64_t>,
+                             detail::SimdSearch>);
+static_assert(
+    std::is_same_v<detail::DefaultSearch<Point>, detail::LinearSearch>);
+static_assert(std::is_same_v<
+              detail::DefaultSearch<Point, ThreeWayComparator<Point>, 128>,
+              detail::BinarySearch>);
+
 TEST(SearchMetrics, SimdProbesCountedWhereSupported) {
     namespace metrics = dtree::metrics;
     metrics::reset();
-    // The default heuristic is measured per (key, block size): dense scalar
-    // columns take the vector kernel at the default node size, pair keys
-    // (Tuple<2>) only at large nodes — at their default 32-key nodes the
-    // early-exit linear scan still wins (see DefaultSearch's notes).
-    static_assert(
-        std::is_same_v<detail::DefaultSearch<std::uint64_t>,
-                       detail::SimdSearch>,
-        "DefaultSearch must select SimdSearch for scalar keys at the default "
-        "block size");
-    static_assert(
-        std::is_same_v<detail::DefaultSearch<Point>, detail::LinearSearch>,
-        "DefaultSearch must keep LinearSearch for Tuple<2> at the default "
-        "block size");
-    static_assert(
-        std::is_same_v<
-            detail::DefaultSearch<Point, ThreeWayComparator<Point>, 128>,
-            detail::SimdSearch>,
-        "DefaultSearch must select SimdSearch for Tuple<2> at 2 KiB nodes");
-    dtree::btree_set<Point, ThreeWayComparator<Point>, 32, detail::SimdSearch>
+    dtree::btree_set<std::uint64_t, ThreeWayComparator<std::uint64_t>, 32,
+                     detail::SimdSearch>
         t;
     auto h = t.create_hints();
-    for (const auto& p : tie_heavy_points(2000, 8)) t.insert(p, h);
-    for (const auto& p : tie_heavy_points(2000, 8)) t.contains(p, h);
+    for (const auto k : scalar_keys(2000, 8)) t.insert(k, h);
+    for (const auto k : scalar_keys(2000, 8)) t.contains(k, h);
     const auto snap = metrics::snapshot();
-    if (dtree::detail::simd::vector_active<Point::value_type>()) {
+    if (dtree::detail::simd::vector_active<std::uint64_t>()) {
         EXPECT_GT(snap[metrics::Counter::search_simd_probes], 0u);
     } else {
         EXPECT_EQ(snap[metrics::Counter::search_simd_probes], 0u);

@@ -95,6 +95,7 @@ void run_set_oracle(std::uint64_t seed) {
     // A single writer never loses a lease or an upgrade: every restart is a
     // split restart, however many inserts ended on the duplicate check.
     EXPECT_EQ(metrics::value(Counter::btree_leaf_retries), 0u);
+    EXPECT_EQ(metrics::value(Counter::btree_restarts), 0u);
     EXPECT_GT(metrics::value(Counter::btree_split_restarts), 0u);
     EXPECT_EQ(metrics::value(Counter::btree_split_restarts),
               metrics::value(Counter::btree_leaf_splits));
@@ -228,6 +229,8 @@ void run_injected_storm(std::uint64_t seed) {
     EXPECT_GE(metrics::value(Counter::btree_leaf_retries),
               fail::fires(fail::Site::leaf_retry))
         << "every injected leaf retry is a conflict retry";
+    EXPECT_GT(metrics::value(Counter::btree_restarts), 0u)
+        << "injected inner-node validation failures restart descents";
 }
 
 TEST_F(ZipfTest, InjectedStormStaysEquivalent) {

@@ -182,6 +182,8 @@ TEST(Metrics, BTreeSplitsAreCounted) {
 // btree_leaf_retries counts conflicts only: a single writer never loses a
 // lease or an upgrade, so at 1 thread every leaf_insert restart is a split
 // restart, on the sorted-leaf (v1) and the fingerprint-leaf (v2) paths alike.
+// btree_restarts counts root/inner lease failures only, so it stays zero
+// through point inserts, contains() and a bulk sorted run.
 template <typename Tree>
 void check_single_writer_restarts() {
     std::vector<std::uint64_t> keys(20000);
@@ -197,6 +199,15 @@ void check_single_writer_restarts() {
     // Each point-insert leaf split is followed by exactly one restart.
     EXPECT_EQ(metrics::value(Counter::btree_split_restarts),
               metrics::value(Counter::btree_leaf_splits));
+    for (std::uint64_t k : keys) {
+        ASSERT_TRUE(t.contains(k, h));
+        ASSERT_FALSE(t.contains(k + 1, h));
+    }
+    std::vector<std::uint64_t> run(keys.size());
+    for (std::uint64_t i = 0; i < run.size(); ++i) run[i] = i * 7919 + 3;
+    EXPECT_EQ(t.insert_sorted_run(run.begin(), run.end(), h), run.size());
+    EXPECT_EQ(metrics::value(Counter::btree_restarts), 0u);
+    EXPECT_EQ(metrics::value(Counter::btree_leaf_retries), 0u);
     metrics::reset();
 }
 

@@ -289,9 +289,9 @@ TEST_F(TortureTest, PoolBulkMergeInjectedBlock5) {
 // column-scan kernel — racy vector loads inside start_read/validate windows
 // where the build compiles them in, the branch-free Access::load scalar scan
 // under TSan — while validate_fail injection forces the discard-on-conflict
-// path the kernel's safety argument rests on (race_access.h). u64 keys take
-// the identity-column layout; a separate tuple-keyed oracle below covers the
-// separate SoA column and the tie-range comparator fallback.
+// path the kernel's safety argument rests on (race_access.h). SimdSearch
+// indexes dense scalar keys only, so the oracle runs on u64 keys, whose key
+// array is the column the kernel scans.
 
 template <unsigned B>
 using SimdTree = dtree::btree_set<std::uint64_t,
@@ -317,48 +317,6 @@ TEST_F(TortureTest, SimdCleanBlock5) { run_simd_torture<5>(702, false); }
 TEST_F(TortureTest, SimdInjectedBlock3) { run_simd_torture<3>(801, true); }
 TEST_F(TortureTest, SimdInjectedBlock4) { run_simd_torture<4>(802, true); }
 TEST_F(TortureTest, SimdInjectedBlock5) { run_simd_torture<5>(803, true); }
-
-// Tuple keys under SimdSearch: the column is a genuinely separate SoA cache
-// and first-column ties force the comparator fallback inside the optimistic
-// window. Threads insert overlapping tie-heavy ranges (16 tuples per first
-// column) into one shared tree under full injection; the result must match
-// the sequential oracle exactly and keep the column cache coherent.
-TEST_F(TortureTest, SimdInjectedTupleTieRanges) {
-    using Key = dtree::Tuple<2>;
-    using TupleTree =
-        dtree::btree_set<Key, dtree::ThreeWayComparator<Key>, 4,
-                         dtree::detail::SimdSearch>;
-    TortureTest::arm_failpoints(901);
-
-    constexpr unsigned kThreads = 4;
-    constexpr std::size_t kPerThread = 3000;
-    std::vector<std::vector<Key>> input(kThreads);
-    std::set<Key> oracle;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        for (std::size_t i = 0; i < kPerThread; ++i) {
-            // Overlapping windows with heavy ties: every thread revisits the
-            // columns its neighbours populate.
-            const Key k{(i + t * 700) / 16 % 500, (i * 2654435761u + t) % 64};
-            input[t].push_back(k);
-            oracle.insert(k);
-        }
-    }
-
-    TupleTree tree;
-    dtree::util::parallel_blocks(
-        kThreads, kThreads, [&](unsigned tid, std::size_t, std::size_t) {
-            auto h = tree.create_hints();
-            for (const auto& k : input[tid]) tree.insert(k, h);
-        });
-
-    EXPECT_GT(fail::fires(fail::Site::validate_fail), 0u);
-    const std::string err = tree.check_invariants();
-    ASSERT_TRUE(err.empty()) << err;
-    std::vector<Key> got(tree.begin(), tree.end());
-    std::vector<Key> want(oracle.begin(), oracle.end());
-    ASSERT_EQ(got, want)
-        << "concurrent tuple inserts under SimdSearch diverged from the oracle";
-}
 
 // Multiple seeds at the smallest node size: distinct schedules + distinct
 // injection streams.
@@ -473,13 +431,12 @@ TEST_F(TortureTest, FpPoolBulkMergeCleanBlock11) {
 }
 
 // Tuple keys: the FNV-combined fingerprint byte plus first-column tie ranges,
-// racing threads over overlapping windows into one shared tree under full
-// injection (the v2 analogue of SimdInjectedTupleTieRanges).
+// racing threads over overlapping windows (16 tuples per first column) into
+// one shared tree on the default search under full injection.
 TEST_F(TortureTest, FpInjectedTupleTieRanges) {
     using Key = dtree::Tuple<2>;
     using TupleFpTree =
-        dtree::fp_btree_set<Key, dtree::ThreeWayComparator<Key>, 4,
-                            dtree::detail::SimdSearch>;
+        dtree::fp_btree_set<Key, dtree::ThreeWayComparator<Key>, 4>;
     TortureTest::arm_failpoints(1801);
 
     constexpr unsigned kThreads = 4;
